@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
       if (attempt + 1 == kReps) {
         const CacheStats cs = fresh->accuracy_cache_stats();
         hit_rate = static_cast<double>(cs.hits) /
-                   static_cast<double>(cs.hits + cs.misses);
+                   static_cast<double>(cs.lookups());
         eval = std::move(fresh);
       }
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -52,64 +53,116 @@ std::vector<const LayerShape*> representative_layers(const Workload& w) {
   return picked;
 }
 
-double layer_relative_mse(const LayerShape& layer, const PsumConfig& psum,
-                          index_t pci, u64 seed, const std::string& wname) {
-  const index_t np =
-      std::min<index_t>(kMaxTiles, std::max<index_t>(1, (layer.ci + pci - 1) / pci));
+bool exact_storage(const PsumConfig& psum) {
+  return !psum.apsq && psum.psum_bits >= 32;
+}
 
-  // The tile stream depends only on (seed, workload, layer) — every PSUM
-  // config is scored against identical inputs.
-  Rng rng = Rng::stream(seed, fnv1a(wname + "/" + layer.name) ^
-                                  static_cast<u64>(layer.ci));
-  std::vector<TensorF> tiles;
-  tiles.reserve(static_cast<size_t>(np));
-  for (index_t t = 0; t < np; ++t) {
-    TensorF tile({kTileRows, kTileCols});
-    for (index_t e = 0; e < tile.numel(); ++e)
-      tile[e] = static_cast<float>(rng.normal(0.0, 8.0));
-    tiles.push_back(std::move(tile));
-  }
-
-  const TensorF exact =
-      accumulate_psums(tiles, PsumMode::kExact, QuantSpec::int8(), {1.0});
-
-  // Power-of-two scale calibrated on the final accumulated range, exactly
-  // as QuantDense does for the QAT path (see quant_dense.cpp).
-  const QuantSpec spec{psum.psum_bits, true};
-  double max_out = 0.0;
-  for (index_t e = 0; e < exact.numel(); ++e)
-    max_out = std::max(max_out, std::fabs(static_cast<double>(exact[e])));
-  PsumScaleCalibrator calib(spec, 0.0);
-  calib.observe_abs_max(max_out);
-  const double alpha = std::exp2(calib.exponent());
-
-  const PsumMode mode = psum.apsq ? PsumMode::kApsq : PsumMode::kPsq;
-  const TensorF approx =
-      accumulate_psums(tiles, mode, spec, {alpha}, psum.group_size);
-
-  double num = 0.0, den = 0.0;
-  for (index_t e = 0; e < exact.numel(); ++e) {
-    const double d = static_cast<double>(approx[e]) - static_cast<double>(exact[e]);
-    num += d * d;
-    den += static_cast<double>(exact[e]) * static_cast<double>(exact[e]);
-  }
-  return den > 0.0 ? num / den : 0.0;
+/// Tiles a query accumulates on `layer`; 0 when it needs no scoring.
+index_t tile_count(const LayerShape& layer, const ProxyQuery& q) {
+  if (exact_storage(q.psum)) return 0;
+  return std::min<index_t>(kMaxTiles,
+                           std::max<index_t>(1, (layer.ci + q.pci - 1) / q.pci));
 }
 
 }  // namespace
 
+ProxyBatch::ProxyBatch(const Workload& w, std::vector<ProxyQuery> queries,
+                       u64 seed)
+    : w_(w), queries_(std::move(queries)), seed_(seed) {
+  bool any_scored = false;
+  for (const ProxyQuery& q : queries_) {
+    APSQ_CHECK(q.pci > 0);
+    q.psum.validate();
+    any_scored = any_scored || !exact_storage(q.psum);
+  }
+  if (!any_scored) return;  // every answer is exactly 0
+  layers_ = representative_layers(w_);
+  APSQ_CHECK_MSG(!layers_.empty(), "workload has no layers");
+  mse_.assign(layers_.size(), std::vector<double>(queries_.size(), 0.0));
+}
+
+void ProxyBatch::score_layer(size_t l) {
+  APSQ_CHECK(l < layers_.size());
+  const LayerShape& layer = *layers_[l];
+  index_t max_np = 0;
+  for (const ProxyQuery& q : queries_)
+    max_np = std::max(max_np, tile_count(layer, q));
+
+  // The tile stream depends only on (seed, workload, layer) — every PSUM
+  // config is scored against identical inputs, a prefix of this one.
+  constexpr index_t kTileElems = kTileRows * kTileCols;
+  Rng rng = Rng::stream(seed_, fnv1a(w_.name + "/" + layer.name) ^
+                                   static_cast<u64>(layer.ci));
+  std::vector<float> stream(static_cast<size_t>(max_np * kTileElems));
+  for (float& v : stream) v = static_cast<float>(rng.normal(0.0, 8.0));
+
+  // Exact accumulation of each distinct prefix the batch reads.
+  std::vector<std::pair<index_t, std::vector<float>>> exact_by_np;
+  const auto exact_for = [&](index_t np) -> const std::vector<float>& {
+    for (const auto& [n, exact] : exact_by_np)
+      if (n == np) return exact;
+    std::vector<float> exact(static_cast<size_t>(kTileElems));
+    accumulate_psums(stream.data(), np, kTileElems, PsumMode::kExact,
+                     QuantSpec::int8(), {1.0}, 1, exact.data());
+    exact_by_np.emplace_back(np, std::move(exact));
+    return exact_by_np.back().second;
+  };
+
+  std::vector<float> approx(static_cast<size_t>(kTileElems));
+  std::vector<double> scale(1);
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    const ProxyQuery& q = queries_[qi];
+    const index_t np = tile_count(layer, q);
+    if (np == 0) continue;
+    const std::vector<float>& exact = exact_for(np);
+
+    // Power-of-two scale calibrated on the final accumulated range,
+    // exactly as QuantDense does for the QAT path (see quant_dense.cpp).
+    const QuantSpec spec{q.psum.psum_bits, true};
+    double max_out = 0.0;
+    for (const float x : exact)
+      max_out = std::max(max_out, std::fabs(static_cast<double>(x)));
+    PsumScaleCalibrator calib(spec, 0.0);
+    calib.observe_abs_max(max_out);
+    scale[0] = std::exp2(calib.exponent());
+
+    const PsumMode mode = q.psum.apsq ? PsumMode::kApsq : PsumMode::kPsq;
+    accumulate_psums(stream.data(), np, kTileElems, mode, spec, scale,
+                     q.psum.group_size, approx.data());
+
+    double num = 0.0, den = 0.0;
+    for (index_t e = 0; e < kTileElems; ++e) {
+      const double x = static_cast<double>(exact[static_cast<size_t>(e)]);
+      const double d = static_cast<double>(approx[static_cast<size_t>(e)]) - x;
+      num += d * d;
+      den += x * x;
+    }
+    mse_[l][qi] = den > 0.0 ? num / den : 0.0;
+  }
+}
+
+std::vector<double> ProxyBatch::results() const {
+  std::vector<double> out(queries_.size(), 0.0);
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    if (exact_storage(queries_[qi].psum)) continue;
+    double sum = 0.0;
+    for (const std::vector<double>& layer : mse_) sum += layer[qi];
+    out[qi] = sum / static_cast<double>(layers_.size());
+  }
+  return out;
+}
+
+std::vector<double> psum_error_proxies(const Workload& w,
+                                       const std::vector<ProxyQuery>& queries,
+                                       u64 seed) {
+  ProxyBatch batch(w, queries, seed);
+  for (size_t l = 0; l < batch.layer_count(); ++l) batch.score_layer(l);
+  return batch.results();
+}
+
 double psum_error_proxy(const Workload& w, const PsumConfig& psum,
                         index_t pci, u64 seed) {
-  APSQ_CHECK(pci > 0);
-  psum.validate();
-  if (!psum.apsq && psum.psum_bits >= 32) return 0.0;  // exact storage
-
-  const std::vector<const LayerShape*> layers = representative_layers(w);
-  APSQ_CHECK_MSG(!layers.empty(), "workload has no layers");
-  double sum = 0.0;
-  for (const LayerShape* l : layers)
-    sum += layer_relative_mse(*l, psum, pci, seed, w.name);
-  return sum / static_cast<double>(layers.size());
+  return psum_error_proxies(w, {ProxyQuery{psum, pci}}, seed)[0];
 }
 
 }  // namespace apsq::dse

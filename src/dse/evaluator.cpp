@@ -121,15 +121,71 @@ double Evaluator::area_for(const DesignPoint& p) {
   });
 }
 
-double Evaluator::error_for(const DesignPoint& p) {
+namespace {
+
+std::string accuracy_key(const DesignPoint& p) {
   std::ostringstream key;
   key << "wl=" << p.workload << "|pb=" << p.psum.psum_bits
       << "|apsq=" << (p.psum.apsq ? 1 : 0) << "|gs=" << p.psum.group_size
       << "|pci=" << p.acc.pci;
-  return accuracy_tt_.lookup_or_compute(key.str(), [&] {
+  return key.str();
+}
+
+}  // namespace
+
+double Evaluator::error_for(const DesignPoint& p) {
+  return accuracy_tt_.lookup_or_compute(accuracy_key(p), [&] {
     return psum_error_proxy(workload(p.workload), p.psum, p.acc.pci,
                             opt_.seed);
   });
+}
+
+void Evaluator::fill_accuracy(
+    index_t n, const std::function<DesignPoint(index_t)>& point_at) {
+  // The missing keys, grouped per workload in first-seen order.
+  struct Missing {
+    std::string workload;
+    std::vector<std::string> keys;
+    std::vector<ProxyQuery> queries;
+  };
+  std::vector<Missing> missing;
+  std::unordered_set<std::string> seen;
+  for (index_t i = 0; i < n; ++i) {
+    const DesignPoint p = point_at(i);
+    p.validate();
+    std::string key = accuracy_key(p);
+    if (accuracy_tt_.contains(key) || !seen.insert(key).second) continue;
+    auto m = std::find_if(missing.begin(), missing.end(), [&](const Missing& x) {
+      return x.workload == p.workload;
+    });
+    if (m == missing.end()) {
+      missing.push_back(Missing{p.workload, {}, {}});
+      m = missing.end() - 1;
+    }
+    m->keys.push_back(std::move(key));
+    m->queries.push_back({p.psum, p.acc.pci});
+  }
+  if (missing.empty()) return;
+
+  // One work unit per (workload, representative layer); each unit draws
+  // and frees its own tile stream.
+  std::vector<ProxyBatch> batches;
+  batches.reserve(missing.size());
+  std::vector<std::pair<size_t, size_t>> units;
+  for (const Missing& m : missing) {
+    batches.emplace_back(workload(m.workload), m.queries, opt_.seed);
+    for (size_t l = 0; l < batches.back().layer_count(); ++l)
+      units.emplace_back(batches.size() - 1, l);
+  }
+  parallel_for_points(static_cast<index_t>(units.size()), [&](index_t u) {
+    const auto& [b, l] = units[static_cast<size_t>(u)];
+    batches[b].score_layer(l);
+  });
+  for (size_t b = 0; b < batches.size(); ++b) {
+    const std::vector<double> values = batches[b].results();
+    for (size_t k = 0; k < values.size(); ++k)
+      accuracy_tt_.fill(missing[b].keys[k], values[k]);
+  }
 }
 
 Evaluator::PerfScore Evaluator::perf_score_for(const DesignPoint& p) {
@@ -263,6 +319,8 @@ EvalResult Evaluator::evaluate_point(const DesignPoint& p,
 
 std::vector<EvalResult> Evaluator::evaluate_points_at(
     const std::vector<DesignPoint>& pts, EvalBackend fidelity) {
+  fill_accuracy(static_cast<index_t>(pts.size()),
+                [&](index_t i) { return pts[static_cast<size_t>(i)]; });
   std::vector<EvalResult> out(pts.size());
   parallel_for_points(static_cast<index_t>(pts.size()), [&](index_t i) {
     out[static_cast<size_t>(i)] =
@@ -281,6 +339,7 @@ EvalResult Evaluator::evaluate(const DesignPoint& p) {
 
 std::vector<EvalResult> Evaluator::evaluate_space(const ConfigSpace& space) {
   space.validate();
+  fill_accuracy(space.size(), [&](index_t i) { return space.at(i); });
   std::vector<DesignPoint> pts;
   if (opt_.backend == EvalBackend::kMixed) {
     // Materialize the space once; the mixed pipeline indexes the point
@@ -298,6 +357,8 @@ std::vector<EvalResult> Evaluator::evaluate_space(const ConfigSpace& space) {
 
 std::vector<EvalResult> Evaluator::evaluate_points(
     const std::vector<DesignPoint>& pts) {
+  fill_accuracy(static_cast<index_t>(pts.size()),
+                [&](index_t i) { return pts[static_cast<size_t>(i)]; });
   if (opt_.backend == EvalBackend::kMixed) return mixed_sweep(pts);
   std::vector<EvalResult> out(pts.size());
   parallel_for_points(static_cast<index_t>(pts.size()), [&](index_t i) {

@@ -40,7 +40,10 @@
 // overwhelming majority of those two; energy/latency depend on every field
 // of the point, so their caches pay off for repeated evaluations of the
 // same point (re-runs, overlapping spaces), not within one cartesian
-// sweep. All scoring functions are pure, every worker derives its
+// sweep. The accuracy keys a batch (evaluate_space / evaluate_points /
+// evaluate_points_at) lacks are scored up front as one proxy batch per
+// workload (accuracy_proxy.hpp); the point loop then only reads the
+// table. All scoring functions are pure, every worker derives its
 // randomness per work item via Rng::stream, and results land in
 // index-addressed slots, so a parallel sweep is byte-identical to a serial
 // one. Parallel evaluation runs on the process-wide
@@ -264,6 +267,12 @@ class Evaluator {
   double energy_for(const DesignPoint& p);
   double area_for(const DesignPoint& p);
   double error_for(const DesignPoint& p);
+  /// Score every accuracy key the points point_at(0 … n-1) need and the
+  /// table lacks, before a batch's point loop: one proxy batch per
+  /// workload, its representative layers scored in parallel, so the loop
+  /// only reads the table.
+  void fill_accuracy(index_t n,
+                     const std::function<DesignPoint(index_t)>& point_at);
   PerfScore perf_score_for(const DesignPoint& p);
   SimScore sim_score_for(const DesignPoint& p);
   /// Score one point at an explicit single-fidelity backend (kAnalytic or

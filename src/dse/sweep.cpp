@@ -268,8 +268,11 @@ SweepSession::SweepSession(SweepConfig cfg, EvalStore* store)
   // The shared pool is built lazily on first use; pinning its width here
   // makes the thread count an honest concurrency bound rather than a
   // serial/pool mode switch. An explicit APSQ_POOL_THREADS env var wins.
-  setenv("APSQ_POOL_THREADS", std::to_string(cfg_.resolved_threads()).c_str(),
-         /*overwrite=*/0);
+  // A serial session never touches the pool, so it leaves the width to
+  // whatever parallel work the process runs later.
+  if (cfg_.resolved_threads() > 1)
+    setenv("APSQ_POOL_THREADS",
+           std::to_string(cfg_.resolved_threads()).c_str(), /*overwrite=*/0);
   eval_ = std::make_unique<Evaluator>(cfg_.evaluator_options());
   if (external_store_ == nullptr &&
       (!cfg_.store_in.empty() || !cfg_.store_out.empty()))

@@ -24,8 +24,10 @@ namespace apsq::dse {
 /// two workers may both compute the same missing entry; the loser's
 /// insert is counted as a `race` (the cached value is identical either
 /// way, so only the counters — never the results — are
-/// schedule-dependent). For any schedule,
-/// hits + misses + races == number of lookups.
+/// schedule-dependent). A batch fill (TranspositionTable::fill) counts
+/// like a lookup that missed: one miss per filled key, or a race if
+/// another writer got there first. For any schedule,
+/// hits + misses + races == number of lookups + fills.
 struct CacheStats {
   i64 hits = 0;
   i64 misses = 0;
@@ -67,6 +69,24 @@ class TranspositionTable {
     else
       ++s.stats.races;
     return it->second;
+  }
+
+  /// True iff `key` is memoized. Counts nothing.
+  bool contains(const std::string& key) const {
+    Shard& s = shard_for(key);
+    MutexLock lock(s.mu);
+    return s.map.count(key) != 0;
+  }
+
+  /// Memoize a value computed ahead of its lookups (a batch fill). First
+  /// writer wins, as in lookup_or_compute.
+  void fill(const std::string& key, V value) {
+    Shard& s = shard_for(key);
+    MutexLock lock(s.mu);
+    if (s.map.emplace(key, std::move(value)).second)
+      ++s.stats.misses;
+    else
+      ++s.stats.races;
   }
 
   /// Counters summed over shards (a consistent-enough snapshot: each

@@ -1,7 +1,10 @@
 #include "quant/apsq.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "common/math_util.hpp"
-#include "quant/grouping.hpp"
 #include "quant/uniform.hpp"
 
 namespace apsq {
@@ -17,14 +20,30 @@ const char* to_string(PsumMode mode) {
 
 namespace {
 
-std::vector<double> check_scales(std::vector<double> scales, index_t num_tiles) {
+/// One positive α per tile, or a single broadcast α.
+void check_scale_count(const std::vector<double>& scales, index_t num_tiles) {
   APSQ_CHECK(num_tiles > 0);
   APSQ_CHECK_MSG(!scales.empty(), "at least one scaling factor required");
-  if (scales.size() == 1) scales.assign(static_cast<size_t>(num_tiles), scales[0]);
-  APSQ_CHECK_MSG(static_cast<index_t>(scales.size()) == num_tiles,
+  APSQ_CHECK_MSG(scales.size() == 1 || static_cast<index_t>(scales.size()) == num_tiles,
                  "scale count " << scales.size() << " != num_tiles " << num_tiles);
   for (double a : scales) APSQ_CHECK_MSG(a > 0.0, "scales must be positive");
+}
+
+std::vector<double> check_scales(std::vector<double> scales, index_t num_tiles) {
+  check_scale_count(scales, num_tiles);
+  if (scales.size() == 1) scales.assign(static_cast<size_t>(num_tiles), scales[0]);
   return scales;
+}
+
+/// quantize_code(x, α) on a grid that fits int32, for every finite x.
+/// Clamping y = x/α to [Qn, Qp] before rounding gives the same code as
+/// clipping after it (the bounds are integers), and keeps y ± 0.5 inside
+/// int32, where the truncating conversion is trunc(): trunc(y ± 0.5) is
+/// round_half_away's floor(y + 0.5) / ceil(y - 0.5) on the same sum. No
+/// libm call, so the element loops below vectorize.
+inline i32 clamped_code(double x, double alpha, double qmin, double qmax) {
+  const double y = std::min(std::max(x / alpha, qmin), qmax);
+  return static_cast<i32>(y + std::copysign(0.5, y));
 }
 
 }  // namespace
@@ -93,44 +112,80 @@ TensorF PsqAccumulator::output() const {
   return out;
 }
 
+void accumulate_psums(const float* tiles, index_t num_tiles, index_t tile_numel,
+                      PsumMode mode, const QuantSpec& spec,
+                      const std::vector<double>& scales, index_t group_size,
+                      float* out) {
+  APSQ_CHECK(num_tiles > 0 && tile_numel >= 0);
+  const size_t n = static_cast<size_t>(tile_numel);
+  // The exact sum, the PSQ sum of dequantized tiles, or (APSQ) the
+  // dequantized sum of the live group's stored tiles — in each case the
+  // value the streaming class holds after the same pushes.
+  std::vector<double> acc_row(n, 0.0);
+  double* acc = acc_row.data();
+  const auto tile = [&](index_t i) { return tiles + static_cast<size_t>(i) * n; };
+
+  if (mode == PsumMode::kExact) {
+    for (index_t i = 0; i < num_tiles; ++i) {
+      const float* tp = tile(i);
+      for (size_t e = 0; e < n; ++e) acc[e] += static_cast<double>(tp[e]);
+    }
+  } else {
+    check_scale_count(scales, num_tiles);
+    APSQ_CHECK_MSG(spec.qmax() <= std::numeric_limits<i32>::max(),
+                   "PSUM grid must fit int32 codes");
+    const double qmin = static_cast<double>(spec.qmin());
+    const double qmax = static_cast<double>(spec.qmax());
+    const auto scale = [&](index_t i) {
+      return scales.size() == 1 ? scales[0] : scales[static_cast<size_t>(i)];
+    };
+    if (mode == PsumMode::kPsq) {
+      for (index_t i = 0; i < num_tiles; ++i) {
+        const double alpha = scale(i);
+        const float* tp = tile(i);
+        for (size_t e = 0; e < n; ++e)
+          acc[e] += alpha * static_cast<double>(clamped_code(
+                                static_cast<double>(tp[e]), alpha, qmin, qmax));
+      }
+    } else {
+      APSQ_CHECK_MSG(group_size >= 1, "group size gs must be >= 1");
+      for (index_t i = 0; i < num_tiles; ++i) {
+        const double alpha = scale(i);
+        const float* tp = tile(i);
+        if (i % group_size == 0 || i == num_tiles - 1) {
+          // Leader or final tile: fold the live group into the quantizer
+          // input; the new code is the group's only live tile.
+          for (size_t e = 0; e < n; ++e)
+            acc[e] = alpha * static_cast<double>(clamped_code(
+                                 acc[e] + static_cast<double>(tp[e]), alpha,
+                                 qmin, qmax));
+        } else {
+          // Plain PSUM quantization; the stored tile joins the live group.
+          for (size_t e = 0; e < n; ++e)
+            acc[e] += alpha * static_cast<double>(clamped_code(
+                                  static_cast<double>(tp[e]), alpha, qmin, qmax));
+        }
+      }
+    }
+  }
+  for (size_t e = 0; e < n; ++e) out[e] = static_cast<float>(acc[e]);
+}
+
 TensorF accumulate_psums(const std::vector<TensorF>& tiles, PsumMode mode,
                          const QuantSpec& spec, const std::vector<double>& scales,
                          index_t group_size) {
   APSQ_CHECK(!tiles.empty());
-  const index_t np = static_cast<index_t>(tiles.size());
   const Shape& shape = tiles.front().shape();
-
-  switch (mode) {
-    case PsumMode::kExact: {
-      TensorD acc(shape, 0.0);
-      for (const auto& t : tiles) {
-        APSQ_CHECK(t.shape() == shape);
-        for (index_t e = 0; e < t.numel(); ++e)
-          acc[e] += static_cast<double>(t[e]);
-      }
-      TensorF out(shape);
-      for (index_t e = 0; e < out.numel(); ++e)
-        out[e] = static_cast<float>(acc[e]);
-      return out;
-    }
-    case PsumMode::kPsq: {
-      PsqAccumulator acc(shape, spec, scales, np);
-      for (const auto& t : tiles) acc.push(t);
-      return acc.output();
-    }
-    case PsumMode::kApsq: {
-      GroupedApsq::Options opt;
-      opt.spec = spec;
-      opt.group_size = group_size;
-      opt.num_tiles = np;
-      opt.scales = scales;
-      GroupedApsq acc(shape, opt);
-      for (const auto& t : tiles) acc.push(t);
-      return acc.output();
-    }
+  std::vector<float> block;
+  block.reserve(tiles.size() * tiles.front().storage().size());
+  for (const auto& t : tiles) {
+    APSQ_CHECK_MSG(t.shape() == shape, "tile shape mismatch");
+    block.insert(block.end(), t.storage().begin(), t.storage().end());
   }
-  APSQ_CHECK_MSG(false, "unreachable");
-  return TensorF();
+  TensorF out(shape);
+  accumulate_psums(block.data(), static_cast<index_t>(tiles.size()), out.numel(),
+                   mode, spec, scales, group_size, out.data());
+  return out;
 }
 
 }  // namespace apsq

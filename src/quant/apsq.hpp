@@ -79,8 +79,20 @@ class PsqAccumulator {
   TensorD acc_;
 };
 
-/// Convenience: run a whole tile sequence through a mode and return To.
-/// For kExact, `spec`/`scales` are ignored.
+/// Run a whole tile sequence through a mode and write To. The tiles are
+/// one contiguous block: tile i is tiles[i·tile_numel, (i+1)·tile_numel).
+/// kExact is the exact double sum, kPsq equals PsqAccumulator and kApsq
+/// equals GroupedApsq (group_size 1 is ApsqAccumulator) element for
+/// element: the same double arithmetic in the same order, as flat loops
+/// with one scratch row and no per-tile allocation. `scales` holds one
+/// α per tile or a single broadcast α; for kExact, `spec`/`scales` are
+/// ignored. The quantized modes need a grid that fits int32 codes.
+void accumulate_psums(const float* tiles, index_t num_tiles, index_t tile_numel,
+                      PsumMode mode, const QuantSpec& spec,
+                      const std::vector<double>& scales, index_t group_size,
+                      float* out);
+
+/// The same over a list of equal-shape tiles, returning To.
 TensorF accumulate_psums(const std::vector<TensorF>& tiles, PsumMode mode,
                          const QuantSpec& spec, const std::vector<double>& scales,
                          index_t group_size = 1);

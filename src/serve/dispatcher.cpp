@@ -67,11 +67,13 @@ Dispatcher::Group& Dispatcher::group_for(const std::string& hash,
   // may fit calibration anchors); publish under it — first writer wins,
   // a racing loser's evaluator is simply discarded.
   auto g = std::make_unique<Group>();
-  // Pin the shared pool's width like SweepSession does (first config
-  // wins; an explicit APSQ_POOL_THREADS env var beats both).
-  setenv("APSQ_POOL_THREADS",
-         std::to_string(req.config.resolved_threads()).c_str(),
-         /*overwrite=*/0);
+  // Pin the shared pool's width like SweepSession does (first parallel
+  // config wins; an explicit APSQ_POOL_THREADS env var beats both; a
+  // serial group never touches the pool and pins nothing).
+  if (req.config.resolved_threads() > 1)
+    setenv("APSQ_POOL_THREADS",
+           std::to_string(req.config.resolved_threads()).c_str(),
+           /*overwrite=*/0);
   g->eval = std::make_unique<dse::Evaluator>(req.config.evaluator_options());
   // Preload fitted calibration factors exactly the way a session would,
   // so calibrated fronts stay byte-identical to batch mode. The daemon

@@ -121,8 +121,15 @@ TEST(Evaluator, CacheStatsReconcileWithLookups) {
   // The sub-caches saw exactly the cold computes, once each.
   EXPECT_EQ(eval.energy_cache_stats().lookups(), cold);
   EXPECT_EQ(eval.area_cache_stats().lookups(), cold);
-  EXPECT_EQ(eval.accuracy_cache_stats().lookups(), cold);
   EXPECT_EQ(eval.latency_cache_stats().lookups(), cold);
+  // The accuracy table is filled before the cold point loop: one miss per
+  // distinct key (smoke: one workload and one pci, so one key per PSUM
+  // config), one hit per point read, and no races at any thread count —
+  // the parallel fill scores distinct keys.
+  const CacheStats as = eval.accuracy_cache_stats();
+  EXPECT_EQ(as.misses, static_cast<i64>(space.psum_configs.size()));
+  EXPECT_EQ(as.hits, cold);
+  EXPECT_EQ(as.races, 0);
   const CacheStats es = eval.energy_cache_stats();
   EXPECT_EQ(es.misses + es.races, cold);  // all smoke keys are distinct
 }

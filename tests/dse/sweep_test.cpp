@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "dse/names.hpp"
 #include "dse/pareto.hpp"
@@ -329,6 +331,23 @@ TEST(SweepSession, StatsWriterReportsEvalAndStoreAccounting) {
             std::string::npos);
   EXPECT_NE(json.find("\"stat\": \"store_hits\", \"value\": 0"),
             std::string::npos);
+}
+
+TEST(SweepSession, SerialSessionLeavesThePoolWidthUnpinned) {
+  // A threads=1 session never touches the shared pool, so it must not pin
+  // APSQ_POOL_THREADS for the parallel work a process runs after it.
+  const char* prev = std::getenv("APSQ_POOL_THREADS");
+  const std::string saved = prev != nullptr ? prev : "";
+  unsetenv("APSQ_POOL_THREADS");
+  SweepConfig cfg;
+  cfg.space = "smoke";
+  cfg.threads = 1;
+  {
+    SweepSession session(cfg);
+    session.run();
+  }
+  EXPECT_EQ(std::getenv("APSQ_POOL_THREADS"), nullptr);
+  if (prev != nullptr) setenv("APSQ_POOL_THREADS", saved.c_str(), 1);
 }
 
 }  // namespace

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -297,6 +298,19 @@ TEST(Dispatcher, RejectsInvalidConfigsWithTheCliMessage) {
   }
   // Rejected requests never count as served.
   EXPECT_EQ(d.total_requests(), 0);
+}
+
+TEST(Dispatcher, SerialGroupLeavesThePoolWidthUnpinned) {
+  // A threads=1 group scores serially, so it must not pin
+  // APSQ_POOL_THREADS for later parallel groups.
+  const char* prev = std::getenv("APSQ_POOL_THREADS");
+  const std::string saved = prev != nullptr ? prev : "";
+  unsetenv("APSQ_POOL_THREADS");
+  dse::EvalStore store;
+  Dispatcher d(store);
+  d.query(smoke_request());
+  EXPECT_EQ(std::getenv("APSQ_POOL_THREADS"), nullptr);
+  if (prev != nullptr) setenv("APSQ_POOL_THREADS", saved.c_str(), 1);
 }
 
 }  // namespace

@@ -17,8 +17,19 @@ TensorI8 random_i8(Shape s, Rng& rng) {
   return t;
 }
 
+// A Dataflow widened to 8 bytes with an explicit zero word. gtest names each
+// case by the raw bytes of its SweepCase; a bare 4-byte enum leaves 4 bytes of
+// padding before `m` that pick up stack garbage (pointer bits that change with
+// ASLR), which made some case names differ from one test discovery to the next.
+struct DataflowField {
+  Dataflow value;
+  i32 zero = 0;
+  DataflowField(Dataflow d) : value(d) {}
+  operator Dataflow() const { return value; }
+};
+
 struct SweepCase {
-  Dataflow df;
+  DataflowField df;
   index_t m, k, n;
   PsumConfig psum;
   i64 ibuf, wbuf, obuf;  // buffer sizes chosen to exercise fit regimes
