@@ -1,9 +1,7 @@
 // Budgeted-search throughput — the wall-time gate for the search engine.
-// Times the two strategies at the scales the acceptance criteria pin:
-// the halving strategy recovering the paper space's exhaustive front at
-// a 25% budget (312 of 1248 sim promotions), and the evolve strategy
-// searching the ~6×10⁷-point fine space under a 2048-evaluation budget —
-// plus a warm store replay of the fine search (0 fresh evaluations).
+// Times the evolve strategy searching the ~6×10⁷-point fine space under a
+// 2048-evaluation budget, plus a warm store replay of the same search (0
+// fresh evaluations).
 // With --benchmark_out=FILE the section timings are written as
 // google-benchmark-style JSON for the bench-regression CI gate
 // (tools/check_bench.py).
@@ -41,32 +39,6 @@ int main(int argc, char** argv) {
   constexpr int kReps = 3;
   std::cout << "=== Budgeted search (hardware threads: " << hw << ") ===\n\n";
   Table t({"Section", "Time (s)", "Evaluated", "Front size"});
-
-  // Halving over the paper space at the acceptance budget: 312 sim
-  // promotions (25% of 1248) reproduce the exhaustive adaptive front.
-  {
-    SweepConfig cfg;
-    cfg.backend = EvalBackend::kMixed;
-    cfg.mode = RunMode::kSearch;
-    cfg.budget = 312;
-    cfg.budget_set = true;
-    cfg.threads = 1;
-    double best = 0.0;
-    SweepOutcome out;
-    for (int attempt = 0; attempt < kReps; ++attempt) {
-      const double secs = time_session(cfg, nullptr, out);
-      best = attempt == 0 ? secs : std::min(best, secs);
-    }
-    if (out.search.evaluated > cfg.budget) {
-      std::cerr << "halving search overspent its budget: "
-                << out.search.evaluated << " > " << cfg.budget << "\n";
-      return 1;
-    }
-    rep.add("search/paper/halving_mixed", best);
-    t.add_row({"paper halving (budget 312)", Table::num(best, 3),
-               std::to_string(out.search.evaluated),
-               std::to_string(out.front.size())});
-  }
 
   // Evolve over the fine space: a budgeted search must stay interactive
   // on a space that exhaustive sweep could never touch.

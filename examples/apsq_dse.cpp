@@ -2,20 +2,15 @@
 // frontier over energy × area × accuracy × latency.
 //
 // Sweeps dataflow × PSUM handling × PE geometry × buffer sizing across the
-// paper's four workloads, scores every point with either the analytical
-// models (fast) or the cycle-level simulator (high fidelity, scaled
-// workloads), and extracts the Pareto front over a selectable objective
-// subset. The orchestration itself lives in the library (dse/sweep.hpp);
-// this binary is flag parsing, SweepConfig construction, and report
-// printing:
+// paper's four workloads, scores every point with the closed-form models
+// at full workload scale, and extracts the Pareto front over a selectable
+// objective subset. The orchestration itself lives in the library
+// (dse/sweep.hpp); this binary is flag parsing, SweepConfig construction,
+// and report printing:
 //
 //   apsq_dse                                  # paper_default space, all cores
 //   apsq_dse --threads 4 --csv points.csv --front-csv front.csv
 //   apsq_dse --space smoke --threads 1
-//   apsq_dse --backend sim --shrink 32        # simulator-in-the-loop scoring
-//   apsq_dse --backend sim --calibrate        # ... in analytic absolute units
-//   apsq_dse --backend mixed --promote-band 0.05  # analytic prefilter, then
-//                                             # calibrated sim on the ε-band
 //   apsq_dse --objectives energy,latency      # 2-objective front
 //   apsq_dse --space fine --mode search --budget 4096 --search-seed 7
 //                                             # budgeted search over the
@@ -33,7 +28,6 @@
 // Run with --help for the full flag list.
 #include <algorithm>
 #include <iostream>
-#include <limits>
 #include <string>
 
 #include "common/cli.hpp"
@@ -77,57 +71,16 @@ void print_help() {
       "                    every point of the space; search runs a budgeted\n"
       "                    search (needs --budget; see --strategy) and is\n"
       "                    mandatory for spaces beyond the exhaustive limit\n"
-      "  --strategy NAME   search mode: halving | evolve (default: halving\n"
-      "                    for --backend mixed, evolve otherwise). halving\n"
-      "                    runs the analytic prefilter + calibrated-sim\n"
-      "                    promotion ladder under the budget; evolve runs a\n"
-      "                    seeded evolutionary neighborhood search at the\n"
-      "                    backend's own fidelity\n"
-      "  --budget N        search mode: cap on high-fidelity (halving) /\n"
-      "                    total (evolve) point evaluations (N >= 1)\n"
+      "  --strategy NAME   search mode: evolve (the default and only\n"
+      "                    strategy), a seeded evolutionary neighborhood\n"
+      "                    search\n"
+      "  --budget N        search mode: cap on point evaluations (N >= 1)\n"
       "  --search-seed S   search mode: sampling/injection RNG seed — the\n"
       "                    front is a pure function of (seed, budget,\n"
       "                    space, scoring), independent of --threads\n"
       "                    (default 1)\n"
-      "  --backend NAME    analytic | sim | mixed (default analytic). sim\n"
-      "                    drives the cycle-level simulator per point on\n"
-      "                    shrunken workloads and scores measured\n"
-      "                    traffic/cycles; mixed scores everything\n"
-      "                    analytically first, then re-scores the analytic\n"
-      "                    front plus its ε-band with the calibrated sim\n"
-      "  --promote-band X  mixed backend: relative ε-dominance slack per\n"
-      "                    objective selecting the promoted near-front set\n"
-      "                    (default 0.05; 0 = front only; inf = everything)\n"
-      "  --promote-adaptive\n"
-      "                    mixed backend: replace the fixed band with the\n"
-      "                    front-stability rule — promote the analytic\n"
-      "                    front, then widen the band geometrically,\n"
-      "                    re-simulating only newly promoted points, until\n"
-      "                    the promoted front is unchanged for 2\n"
-      "                    consecutive widenings\n"
-      "  --promote-budget N\n"
-      "                    mixed backend: promote exactly the N best\n"
-      "                    points by ε-dominance margin instead of a band\n"
-      "                    (N >= 1; N >= the space size promotes\n"
-      "                    everything)\n"
-      "  --promote-objectives LIST\n"
-      "                    mixed backend: measure promotion margins in this\n"
-      "                    objective subset instead of following\n"
-      "                    --objectives (pin it to keep a stored mixed\n"
-      "                    sweep re-sliceable under different --objectives)\n"
-      "  --calibrate       sim backend: rescale measured energies/latencies\n"
-      "                    into the analytic backend's absolute units via\n"
-      "                    per-family anchor runs (see dse/calibrate.hpp);\n"
-      "                    implied by --backend mixed\n"
-      "  --calibration-csv PATH\n"
-      "                    load fitted calibration unit factors from PATH if\n"
-      "                    it exists (skipping the anchor runs), and save the\n"
-      "                    factors there after the sweep\n"
-      "  --calibrate-per-class\n"
-      "                    fit calibration factors per layer class instead of\n"
-      "                    one blended vector per workload (finer for\n"
-      "                    workloads mixing DRAM-bound and resident layers;\n"
-      "                    needs --calibrate or --backend mixed)\n"
+      "  --backend NAME    analytic (the default and only backend): the\n"
+      "                    closed-form energy/performance models\n"
       "  --objectives LIST comma list drawn from energy,area,error,latency,\n"
       "                    pe_utilization,dram_bw_headroom,\n"
       "                    throughput_per_area used for Pareto dominance\n"
@@ -148,26 +101,19 @@ void print_help() {
       "  --threads N       width of the process-wide worker pool (default:\n"
       "                    hardware concurrency; 1 = fully serial; an\n"
       "                    explicit APSQ_POOL_THREADS env var wins)\n"
-      "  --sim-threads N   sim backend: >1 lets each point's layer loop run\n"
-      "                    as a nested scope on the same shared pool (so the\n"
-      "                    pool width, not N, bounds concurrency; default:\n"
-      "                    follow --threads)\n"
-      "  --seed S          accuracy-proxy / sim operand seed (default 0xD5E)\n"
-      "  --shrink N        sim backend: divide layer dims by N (default 32)\n"
-      "  --max-dim N       sim backend: clamp scaled dims to N (default 48)\n"
+      "  --seed S          accuracy-proxy seed (default 0xD5E)\n"
       "  --csv PATH        write every evaluated point as CSV\n"
       "  --front-csv PATH  write the Pareto front as CSV\n"
       "  --layer-stats-csv PATH\n"
-      "                    re-score the top front rows at their own fidelity\n"
-      "                    and write one per-layer telemetry row each\n"
-      "                    (cycles, utilization, stall/idle split, SRAM/DRAM\n"
-      "                    traffic by operand, bandwidth occupancy) to PATH\n"
+      "                    write one per-layer telemetry row for each top\n"
+      "                    front row (cycles, utilization, stall/idle split,\n"
+      "                    SRAM/DRAM traffic by operand, bandwidth\n"
+      "                    occupancy) to PATH\n"
       "  --dump-stats-top K\n"
       "                    front rows dumped by --layer-stats-csv\n"
       "                    (default 5; 0 = every front row)\n"
-      "  --stats           print cache hit/miss/race counters, pool\n"
-      "                    run/steal counts and mixed-sweep phase timings\n"
-      "                    after the sweep\n"
+      "  --stats           print cache hit/miss/race counters and pool\n"
+      "                    run/steal counts after the sweep\n"
       "  --stats-json PATH write the same counters as a JSON array of\n"
       "                    {stat, value} objects\n"
       "  --top N           front rows to print (default 20; 0 = all)\n"
@@ -177,7 +123,6 @@ void print_help() {
 }
 
 bool parse(int argc, char** argv, Options& o) {
-  constexpr i64 kDimMax = i64{1} << 30;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     auto next = [&](const char* flag) -> const char* {
@@ -212,8 +157,8 @@ bool parse(int argc, char** argv, Options& o) {
       o.req.config.strategy_set = true;
     } else if (a == "--budget") {
       const char* v = next("--budget");
-      // Like --promote-budget: a budget of 0 would evaluate nothing and
-      // report an empty front — reject it as out of range.
+      // A budget of 0 would evaluate nothing and report an empty front —
+      // reject it as out of range.
       if (!v ||
           !parse_i64_flag("--budget", v, 1, i64{1} << 40, o.req.config.budget))
         return false;
@@ -227,41 +172,9 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next("--backend");
       // Validate at parse time: an unrecognized backend must exit 1 with
       // the flag named, never fall back to a default sweep.
-      if (!v || !parse_enum_flag("--backend", v, parse_backend, o.req.config.backend))
+      EvalBackend backend = EvalBackend::kAnalytic;
+      if (!v || !parse_enum_flag("--backend", v, parse_backend, backend))
         return false;
-    } else if (a == "--calibrate") {
-      o.req.config.calibrate = true;
-    } else if (a == "--calibrate-per-class") {
-      o.req.config.calibrate_per_class = true;
-    } else if (a == "--promote-band") {
-      const char* v = next("--promote-band");
-      if (!v || !parse_double_flag("--promote-band", v, 0.0,
-                                   std::numeric_limits<double>::infinity(),
-                                   o.req.config.promote_band))
-        return false;
-      o.req.config.promote_band_set = true;
-    } else if (a == "--promote-adaptive") {
-      o.req.config.promote_adaptive = true;
-    } else if (a == "--promote-budget") {
-      const char* v = next("--promote-budget");
-      // 1 is the smallest meaningful budget: a budget of 0 would simulate
-      // nothing and report an empty front — reject it like any other
-      // out-of-range value.
-      if (!v ||
-          !parse_i64_flag("--promote-budget", v, 1, i64{1} << 40,
-                          o.req.config.promote_budget))
-        return false;
-      o.req.config.promote_budget_set = true;
-    } else if (a == "--promote-objectives") {
-      const char* v = next("--promote-objectives");
-      if (!v || !parse_enum_flag("--promote-objectives", v,
-                                 ObjectiveSet::parse, o.req.config.promote_objectives))
-        return false;
-      o.req.config.promote_objectives_set = true;
-    } else if (a == "--calibration-csv") {
-      const char* v = next("--calibration-csv");
-      if (!v) return false;
-      o.req.config.calibration_csv = v;
     } else if (a == "--objectives") {
       const char* v = next("--objectives");
       if (!v || !parse_enum_flag("--objectives", v, ObjectiveSet::parse,
@@ -291,21 +204,9 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next("--threads");
       if (!v || !parse_int_flag("--threads", v, 1, 4096, o.req.config.threads))
         return false;
-    } else if (a == "--sim-threads") {
-      const char* v = next("--sim-threads");
-      if (!v || !parse_int_flag("--sim-threads", v, 1, 4096, o.req.config.sim_threads))
-        return false;
     } else if (a == "--seed") {
       const char* v = next("--seed");
       if (!v || !parse_u64_flag("--seed", v, o.req.config.seed)) return false;
-    } else if (a == "--shrink") {
-      const char* v = next("--shrink");
-      if (!v || !parse_i64_flag("--shrink", v, 1, kDimMax, o.req.config.shrink))
-        return false;
-    } else if (a == "--max-dim") {
-      const char* v = next("--max-dim");
-      if (!v || !parse_i64_flag("--max-dim", v, 1, kDimMax, o.req.config.max_dim))
-        return false;
     } else if (a == "--csv") {
       const char* v = next("--csv");
       if (!v) return false;
@@ -369,10 +270,6 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
   Evaluator& eval = session.evaluator();
   const std::string scored_by = cfg.scored_by_label();
 
-  if (out.calibration_families_loaded >= 0)
-    std::cout << "loaded " << out.calibration_families_loaded
-              << " calibration families from " << cfg.calibration_csv << "\n";
-
   std::cout << "evaluated " << out.results.size() << " design points ("
             << session.space().workloads.size() << " workloads) with "
             << cfg.resolved_threads() << " threads / " << scored_by
@@ -387,14 +284,13 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
     // The "budgeted evaluations" phrasing is load-bearing: CI smoke steps
     // grep for it to assert the budget held.
     const SearchStats& ss = out.search;
-    std::cout << "search: " << to_string(cfg.effective_strategy())
-              << " strategy, budget " << cfg.budget << ", " << ss.evaluated
-              << " budgeted evaluations over " << ss.explored
-              << " explored points in " << Table::num(ss.secs, 2) << " s\n";
+    std::cout << "search: " << to_string(cfg.strategy) << " strategy, budget "
+              << cfg.budget << ", " << ss.evaluated
+              << " budgeted evaluations in " << Table::num(ss.secs, 2)
+              << " s\n";
     for (size_t r = 0; r < ss.rounds.size(); ++r) {
       const SearchRoundStats& rs = ss.rounds[r];
-      std::cout << "  round " << r << ": band " << Table::num(rs.band, 4)
-                << ", " << rs.candidates << " candidates, +"
+      std::cout << "  round " << r << ": " << rs.candidates << " candidates, +"
                 << rs.evaluated_new << " evaluated, front " << rs.front_size
                 << (rs.front_changed ? " (changed)" : " (stable)") << ", "
                 << Table::num(rs.secs, 2) << " s\n";
@@ -405,51 +301,12 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
     print_cache_line("energy", eval.energy_cache_stats(), false);
     print_cache_line("area", eval.area_cache_stats(), false);
     print_cache_line("accuracy", eval.accuracy_cache_stats(), false);
-    if (cfg.backend == EvalBackend::kAnalytic) {
-      print_cache_line("latency", eval.latency_cache_stats(), true);
-    } else if (cfg.backend == EvalBackend::kSim) {
-      print_cache_line("sim", eval.sim_cache_stats(), true);
-    } else {
-      print_cache_line("latency", eval.latency_cache_stats(), false);
-      print_cache_line("sim", eval.sim_cache_stats(), true);
-    }
+    print_cache_line("latency", eval.latency_cache_stats(), true);
     const WorkStealingPool& pool = WorkStealingPool::shared();
     std::cout << "pool: " << pool.num_threads() << " threads, "
               << pool.run_count() << " runs, " << pool.steal_count()
               << " steals\n";
   }
-  if (cfg.mixed() && !cfg.search() && ro.stats) {
-    const MixedSweepStats& ms = eval.mixed_stats();
-    const double pct = ms.total > 0 ? 100.0 * static_cast<double>(ms.promoted) /
-                                          static_cast<double>(ms.total)
-                                    : 0.0;
-    std::cout << "mixed phases — analytic: " << ms.total << " pts in "
-              << Table::num(ms.phase1_secs, 2) << " s; "
-              << to_string(ms.mode) << " promotion ";
-    if (ms.mode == PromoteMode::kBudget)
-      std::cout << "(budget " << ms.budget << ", effective band "
-                << Table::num(ms.band, 3) << ")";
-    else
-      std::cout << "(band " << Table::num(ms.band, 3) << ")";
-    std::cout << " sent " << ms.promoted << " pts (" << Table::num(pct, 1)
-              << "%) to sim+cal in " << Table::num(ms.phase2_secs, 2)
-              << " s\n";
-    // Adaptive sweeps: show the ladder so the stopping decision is
-    // auditable — which widenings still moved the front, and what each
-    // one cost in newly simulated points.
-    if (ms.mode == PromoteMode::kAdaptive)
-      for (size_t r = 0; r < ms.rounds.size(); ++r) {
-        const MixedRoundStats& rs = ms.rounds[r];
-        std::cout << "  round " << r << ": band " << Table::num(rs.band, 4)
-                  << " +" << rs.promoted_new << " pts (total "
-                  << rs.promoted_total << "), front " << rs.front_size
-                  << (rs.front_changed ? " (changed)" : " (stable)") << ", "
-                  << Table::num(rs.secs, 2) << " s\n";
-      }
-  }
-  if (eval.calibrator())
-    std::cout << "calibration: " << eval.calibrator()->family_count()
-              << " (workload, dataflow, psum) families fitted\n";
   std::cout << "Pareto front: " << out.front.size()
             << " non-dominated points across workloads ("
             << out.global_front_size << " in the cross-workload front)\n\n";
@@ -462,8 +319,6 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
     std::cout << "… " << out.front.size() - shown.size()
               << " more rows (use --top 0 or --front-csv)\n";
 
-  if (eval.calibrator() && !cfg.calibration_csv.empty())
-    std::cout << "\nwrote " << cfg.calibration_csv << "\n";
   if (!cfg.store_out.empty())
     std::cout << "wrote " << cfg.store_out << "\n";
   if (!ro.req.csv.empty()) {
@@ -484,8 +339,7 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
     const size_t k = ro.dump_stats_top == 0
                          ? out.front.size()
                          : static_cast<size_t>(ro.dump_stats_top);
-    const StatsWriter sw =
-        layer_stats_writer(eval, out.front, k, scored_by);
+    const StatsWriter sw = layer_stats_writer(eval, out.front, k);
     if (!sw.write_csv(ro.layer_stats_csv_path)) {
       std::cerr << "failed to write " << ro.layer_stats_csv_path << "\n";
       return false;

@@ -2,8 +2,8 @@
 // shared-mutable structure in the repo uses.
 //
 // The engine's concurrency story — the process-wide WorkStealingPool, the
-// Evaluator's memo caches, the Calibrator's anchor fits, the EvalStore's
-// snapshot map — used to be checked only at runtime, by whatever races the
+// Evaluator's memo caches, the EvalStore's snapshot map, the daemon's
+// coalescing groups — used to be checked only at runtime, by whatever races the
 // TSan job's inputs happened to exercise. These macros make the locking
 // discipline *statically* checkable: a field tagged APSQ_GUARDED_BY(mu)
 // cannot be touched without holding mu, a function tagged

@@ -87,9 +87,8 @@ inline bool parse_u64_flag(const char* flag, const char* text, u64& out,
 }
 
 /// Parse a floating-point value in [lo, hi]. NaN is always rejected;
-/// "inf" is accepted when `hi` is infinite (e.g. --promote-band inf =
-/// promote everything). Same whole-token / flag-naming contract as the
-/// integer parsers.
+/// "inf" is accepted when `hi` is infinite. Same whole-token /
+/// flag-naming contract as the integer parsers.
 inline bool parse_double_flag(const char* flag, const char* text, double lo,
                               double hi, double& out,
                               std::ostream& err = std::cerr) {
@@ -117,7 +116,7 @@ inline bool parse_double_flag(const char* flag, const char* text, double lo,
 }
 
 /// Cross-flag validation: a flag that only makes sense in some mode (e.g.
-/// --promote-budget without --backend mixed) must exit 1 naming the flag
+/// --budget without --mode search) must exit 1 naming the flag
 /// and the requirement, never run a sweep that silently ignores it.
 /// Returns true when the combination is fine (flag absent, or requirement
 /// met).
@@ -130,8 +129,7 @@ inline bool flag_requires(bool flag_given, const char* flag,
 }
 
 /// Cross-flag validation: two flags that select conflicting behaviours
-/// (e.g. --promote-band vs --promote-adaptive) must exit 1 naming both,
-/// never let one silently win. Returns true when at most one is given.
+/// must exit 1 naming both, never let one silently win. Returns true when at most one is given.
 inline bool flags_exclusive(bool a_given, const char* a, bool b_given,
                             const char* b, std::ostream& err = std::cerr) {
   if (!a_given || !b_given) return true;

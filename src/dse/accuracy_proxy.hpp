@@ -4,7 +4,7 @@
 // of work per sweep; the DSE objective instead scores a PSUM config by the
 // relative mean-squared reconstruction error of tile-based accumulation —
 // the same signal Fig. 5 shows tracking task accuracy: error grows as
-// PSUM bits shrink and falls as the APSQ group size grows. Synthetic PSUM
+// PSUM bits drop and falls as the APSQ group size grows. Synthetic PSUM
 // tile streams are drawn per (workload, layer) from Rng::stream, so the
 // proxy is a pure function of (workload, psum, pci, seed) — evaluation
 // order and thread count never change it.

@@ -66,9 +66,8 @@ double Objectives::minimized(Objective o) const {
   switch (o) {
     case Objective::kPeUtilization:
     case Objective::kDramBwHeadroom:
-      // Both live in [0, 1]; clamp so factor noise slightly above 1 can
-      // never produce a negative value (the ε-band machinery requires
-      // non-negative minimized objectives).
+      // Both live in [0, 1]; clamp so a value slightly above 1 can never
+      // produce a negative minimized objective.
       return std::max(0.0, 1.0 - get(o));
     case Objective::kThroughputPerArea:
       // Monotone-decreasing and finite for every v >= 0, including the

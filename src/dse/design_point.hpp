@@ -53,8 +53,7 @@ enum class Objective : int {
 
 inline constexpr int kObjectiveCount = 7;
 /// The always-on minimize quartet (energy, area, error, latency) — the
-/// default objective set and the plane mixed-fidelity promotion measures
-/// margins in unless told otherwise.
+/// default objective set.
 inline constexpr int kCoreObjectiveCount = 4;
 
 /// Whether better means smaller or larger for an objective.
@@ -75,7 +74,7 @@ struct Objectives {
   double energy_pj = 0.0;  ///< workload energy (Eq. 1; analytic or measured)
   double area_um2 = 0.0;   ///< synthesis-area model (Table II composition)
   double error = 0.0;      ///< PSUM quantization-error accuracy proxy (MSE)
-  double latency_s = 0.0;  ///< workload latency (performance model / sim)
+  double latency_s = 0.0;  ///< workload latency (performance model)
   /// MAC-weighted mean per-layer PE-array utilization in [0, 1]
   /// (telemetry registry, sim/stats.hpp). Maximized.
   double pe_utilization = 0.0;
@@ -146,10 +145,9 @@ class ObjectiveSet {
 bool dominates(const Objectives& a, const Objectives& b,
                const ObjectiveSet& objectives = ObjectiveSet::core());
 
-/// A scored design point. `scored_by` records the fidelity provenance of
-/// the objective values ("analytic", "sim", "sim+cal"); a mixed-fidelity
-/// sweep returns results of both provenances side by side, so the label
-/// lives on the result, not on the sweep. Empty means "unspecified"
+/// A scored design point. `scored_by` records the provenance of the
+/// objective values ("analytic" for every evaluator-produced result; it
+/// is persisted in snapshots and CSVs). Empty means "unspecified"
 /// (hand-built results in tests / benches).
 struct EvalResult {
   DesignPoint point;

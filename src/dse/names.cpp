@@ -2,24 +2,8 @@
 
 #include <stdexcept>
 
-#include "common/check.hpp"
-#include "dse/evaluator.hpp"
 
 namespace apsq::dse {
-
-namespace {
-
-template <typename Table>
-std::string join_names(const Table& table, char sep) {
-  std::string out;
-  for (const auto& row : table) {
-    if (!out.empty()) out += sep;
-    out += row.name;
-  }
-  return out;
-}
-
-}  // namespace
 
 const std::array<ObjectiveName, kObjectiveCount>& objective_names() {
   static const std::array<ObjectiveName, kObjectiveCount> kTable = {{
@@ -38,7 +22,12 @@ const std::array<ObjectiveName, kObjectiveCount>& objective_names() {
 }
 
 std::string objective_name_list(char sep) {
-  return join_names(objective_names(), sep);
+  std::string out;
+  for (const ObjectiveName& row : objective_names()) {
+    if (!out.empty()) out += sep;
+    out += row.name;
+  }
+  return out;
 }
 
 Objective parse_objective(const std::string& name) {
@@ -48,19 +37,6 @@ Objective parse_objective(const std::string& name) {
   // diagnostics — parse_enum_flag prints it verbatim after the flag name.
   throw std::invalid_argument("unknown objective: " + name + " (expected " +
                               objective_name_list() + ")");
-}
-
-const std::array<BackendName, kBackendCount>& backend_names() {
-  static const std::array<BackendName, kBackendCount> kTable = {{
-      {EvalBackend::kAnalytic, "analytic"},
-      {EvalBackend::kSim, "sim"},
-      {EvalBackend::kMixed, "mixed"},
-  }};
-  return kTable;
-}
-
-std::string backend_name_list(char sep) {
-  return join_names(backend_names(), sep);
 }
 
 const std::array<const char*, kSpaceCount>& space_names() {

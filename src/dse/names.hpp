@@ -1,13 +1,12 @@
 // Single source of truth for the engine's name strings: the objective
-// table (flag/spec name, CSV column, optimization direction), the
-// fidelity-backend names, and the config-space names. Every consumer that
-// turns a string into an enum or prints an enum as a string —
-// design_point's to_string/objective_column/ObjectiveSet::parse,
-// evaluator's parse_backend, SweepConfig::validate()'s space check,
-// `--where` constraint parsing, job-spec and daemon-request parsing, and
-// the report/CSV headers — reads these tables, so a new objective or
-// backend is added in exactly one place and the name↔enum mapping cannot
-// drift between the CLI, the JSON paths, and the persisted formats.
+// table (flag/spec name, CSV column, optimization direction) and the
+// config-space names. Every consumer that turns a string into an enum or
+// prints an enum as a string — design_point's
+// to_string/objective_column/ObjectiveSet::parse, SweepConfig::validate()'s
+// space check, `--where` constraint parsing, job-spec and daemon-request
+// parsing, and the report/CSV headers — reads these tables, so a new
+// objective is added in exactly one place and the name↔enum mapping
+// cannot drift between the CLI, the JSON paths, and the persisted formats.
 #pragma once
 
 #include <array>
@@ -16,8 +15,6 @@
 #include "dse/design_point.hpp"
 
 namespace apsq::dse {
-
-enum class EvalBackend;  // evaluator.hpp
 
 /// One row of the objective naming table.
 struct ObjectiveName {
@@ -38,20 +35,6 @@ std::string objective_name_list(char sep = '|');
 /// listing the valid names (the message ObjectiveSet::parse and
 /// constraint parsing both surface verbatim).
 Objective parse_objective(const std::string& name);
-
-/// One row of the fidelity-backend naming table.
-struct BackendName {
-  EvalBackend backend;
-  const char* name;
-};
-
-inline constexpr int kBackendCount = 3;
-
-/// In EvalBackend enum order: row i describes static_cast<EvalBackend>(i).
-const std::array<BackendName, kBackendCount>& backend_names();
-
-/// "analytic|sim|mixed".
-std::string backend_name_list(char sep = '|');
 
 inline constexpr int kSpaceCount = 3;
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <map>
 #include <string>
 
@@ -38,9 +37,8 @@ bool objectives_less(const Objectives& a, const Objectives& b,
   return false;
 }
 
-/// Shared preamble of pareto_front and epsilon_band: candidates in
-/// canonical-key order with exact duplicate configurations collapsed to
-/// the first occurrence.
+/// Candidates in canonical-key order with exact duplicate configurations
+/// collapsed to the first occurrence.
 std::vector<const EvalResult*> deduped_in_key_order(
     const std::vector<EvalResult>& points) {
   struct Keyed {
@@ -65,9 +63,7 @@ std::vector<const EvalResult*> deduped_in_key_order(
 }
 
 /// The dominance filter of pareto_front over already-validated, deduped,
-/// key-ordered candidates — shared with epsilon_band so the promotion
-/// path never re-keys or re-validates the input. Survivors come back in
-/// key order.
+/// key-ordered candidates. Survivors come back in key order.
 std::vector<const EvalResult*> front_of(
     const std::vector<const EvalResult*>& candidates,
     const ObjectiveSet& objectives) {
@@ -129,215 +125,6 @@ std::vector<EvalResult> pareto_front(const std::vector<EvalResult>& points,
   front.reserve(survivors.size());
   for (const EvalResult* s : survivors) front.push_back(*s);
   return front;
-}
-
-bool epsilon_dominates(const Objectives& a, const Objectives& b, double band,
-                       const ObjectiveSet& objectives, double abs_floor) {
-  APSQ_CHECK_MSG(band >= 0.0, "epsilon band must be >= 0, got " << band);
-  APSQ_CHECK_MSG(abs_floor >= 0.0,
-                 "epsilon abs_floor must be >= 0, got " << abs_floor);
-  bool strictly_better = false;
-  for (Objective o : objectives.list()) {
-    const double av = a.minimized(o) * (1.0 + band) + band * abs_floor;
-    const double bv = b.minimized(o);
-    if (av > bv) return false;
-    if (av < bv) strictly_better = true;
-  }
-  return strictly_better;
-}
-
-namespace {
-
-/// Validation shared by the margin-based promotion family: the band is a
-/// multiplicative slack, so besides the usual finiteness requirement
-/// every active objective must be >= 0 (true of all DSE objectives: pJ,
-/// µm², MSE, seconds).
-void check_band_objectives(const std::vector<EvalResult>& points,
-                           const ObjectiveSet& objectives, double abs_floor) {
-  APSQ_CHECK_MSG(abs_floor >= 0.0,
-                 "epsilon abs_floor must be >= 0, got " << abs_floor);
-  for (const EvalResult& p : points)
-    for (const Objective o : objectives.list()) {
-      // Finiteness is checked on the natural value: the clamps inside
-      // minimized() would silently map NaN to a finite number (e.g.
-      // std::max(0.0, NaN) == 0.0) and mask a broken scorer.
-      const double v = p.obj.get(o);
-      APSQ_CHECK_MSG(std::isfinite(v) && p.obj.minimized(o) >= 0.0,
-                     "epsilon_band needs finite non-negative objectives; got "
-                         << to_string(o) << " = " << v << " for "
-                         << canonical_key(p.point));
-    }
-}
-
-/// Margin computation over already-validated, deduped, key-ordered
-/// candidates. Margins are measured against the front only, which is
-/// exact: a plain dominator f of any ε-dominator q of p satisfies
-/// f·(1+b) + b·floor ≤ q·(1+b) + b·floor ≤ p componentwise (strict
-/// wherever q was strict), so f excludes p at every band q does. Front
-/// members themselves are never ε-dominated (that would imply plain
-/// dominance within the front for non-negative objectives), so every
-/// margin is well-defined and the band always contains the front.
-std::vector<PromotionMargin> margins_of(
-    const std::vector<const EvalResult*>& candidates,
-    const ObjectiveSet& objectives, double abs_floor) {
-  const std::vector<const EvalResult*> front = front_of(candidates, objectives);
-  std::vector<PromotionMargin> out;
-  out.reserve(candidates.size());
-  for (const EvalResult* cand : candidates) {
-    // Per objective, f's ε-dominance constraint f_o·(1+b) + b·floor ≤
-    // cand_o *holds* for b up to hold_o := (cand_o − f_o) / (f_o + floor)
-    // and is *strict* for b < that same bound — except when the
-    // denominator is 0 (f_o == 0 at abs_floor == 0): there the inflated
-    // value stays 0, so the constraint holds at every band and is strict
-    // iff cand_o > 0, never on an exact tie (a vacuous constraint must
-    // not shield a candidate that is worse elsewhere). f therefore
-    // excludes cand on [0, min_o hold_o] ∩ [0, max_o strict_o) and the
-    // candidate enters the band at the latest exclusion endpoint over
-    // all front members.
-    double enter = 0.0;
-    bool inclusive = true;
-    for (const EvalResult* f : front) {
-      double min_hold = std::numeric_limits<double>::infinity();
-      double max_strict = -std::numeric_limits<double>::infinity();
-      for (Objective o : objectives.list()) {
-        const double fv = f->obj.minimized(o), cv = cand->obj.minimized(o);
-        const double denom = fv + abs_floor;
-        double hold, strict;
-        if (denom > 0.0) {
-          hold = strict = (cv - fv) / denom;
-        } else {
-          hold = std::numeric_limits<double>::infinity();
-          strict = cv > 0.0 ? hold : -hold;
-        }
-        min_hold = std::min(min_hold, hold);
-        max_strict = std::max(max_strict, strict);
-      }
-      if (max_strict <= 0.0) continue;  // never strictly better
-      if (min_hold < 0.0) continue;     // cand strictly better somewhere
-      // min_hold < max_strict: some objective is still strict at the
-      // hold bound, so the endpoint itself is excluded and cand enters
-      // only beyond it. Otherwise strictness runs out first — at
-      // b == max_strict no strict win is left — and cand is already in
-      // the band at that (inclusive) threshold.
-      const double f_enter = std::min(min_hold, max_strict);
-      const bool entry_inclusive = min_hold >= max_strict;
-      if (f_enter > enter ||
-          (f_enter == enter && inclusive && !entry_inclusive)) {
-        enter = f_enter;
-        inclusive = entry_inclusive;
-      }
-    }
-    out.push_back(PromotionMargin{*cand, enter, inclusive});
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<PromotionMargin> promotion_margins(
-    const std::vector<EvalResult>& points, const ObjectiveSet& objectives,
-    double abs_floor) {
-  check_band_objectives(points, objectives, abs_floor);
-  return margins_of(deduped_in_key_order(points), objectives, abs_floor);
-}
-
-std::vector<PromotionMargin> promotion_margins_by_workload(
-    const std::vector<EvalResult>& points, const ObjectiveSet& objectives,
-    double abs_floor) {
-  std::map<std::string, std::vector<EvalResult>> groups;  // sorted by name
-  for (const EvalResult& p : points) groups[p.point.workload].push_back(p);
-  std::vector<PromotionMargin> out;
-  for (const auto& [name, group] : groups) {
-    (void)name;
-    std::vector<PromotionMargin> margins =
-        promotion_margins(group, objectives, abs_floor);
-    out.insert(out.end(), std::make_move_iterator(margins.begin()),
-               std::make_move_iterator(margins.end()));
-  }
-  return out;
-}
-
-std::vector<PromotionMargin> ranked_margins_by_workload(
-    const std::vector<EvalResult>& points, const ObjectiveSet& objectives,
-    double abs_floor) {
-  std::vector<PromotionMargin> margins =
-      promotion_margins_by_workload(points, objectives, abs_floor);
-  // Rank: closest to the front first. At equal margins a threshold-
-  // inclusive point enters the band strictly before an exclusive one;
-  // remaining ties break on the canonical key, so the cut at any budget
-  // boundary is total-ordered and schedule-independent (keys are unique
-  // after dedup). Keys are precomputed once — building them inside the
-  // comparator would pay an allocation per comparison.
-  std::vector<size_t> order(margins.size());
-  std::vector<std::string> keys;
-  keys.reserve(margins.size());
-  for (size_t i = 0; i < margins.size(); ++i) {
-    order[i] = i;
-    keys.push_back(canonical_key(margins[i].result.point));
-  }
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (margins[a].enter_band != margins[b].enter_band)
-      return margins[a].enter_band < margins[b].enter_band;
-    if (margins[a].enter_inclusive != margins[b].enter_inclusive)
-      return margins[a].enter_inclusive;
-    return keys[a] < keys[b];
-  });
-  std::vector<PromotionMargin> ranked;
-  ranked.reserve(margins.size());
-  for (const size_t i : order) ranked.push_back(std::move(margins[i]));
-  return ranked;
-}
-
-std::vector<EvalResult> best_by_margin(const std::vector<EvalResult>& points,
-                                       index_t n,
-                                       const ObjectiveSet& objectives,
-                                       double abs_floor) {
-  APSQ_CHECK_MSG(n >= 0, "margin budget must be >= 0, got " << n);
-  std::vector<PromotionMargin> ranked =
-      ranked_margins_by_workload(points, objectives, abs_floor);
-  if (static_cast<size_t>(n) < ranked.size())
-    ranked.resize(static_cast<size_t>(n));
-  std::vector<EvalResult> out;
-  out.reserve(ranked.size());
-  for (PromotionMargin& m : ranked) out.push_back(std::move(m.result));
-  return out;
-}
-
-std::vector<EvalResult> epsilon_band(const std::vector<EvalResult>& points,
-                                     double band,
-                                     const ObjectiveSet& objectives,
-                                     double abs_floor) {
-  APSQ_CHECK_MSG(band >= 0.0, "epsilon band must be >= 0, got " << band);
-  const std::vector<PromotionMargin> margins =
-      promotion_margins(points, objectives, abs_floor);
-  std::vector<EvalResult> out;
-  out.reserve(margins.size());
-  if (!std::isfinite(band)) {
-    // Infinite slack keeps everything outright (margins are finite except
-    // in the abs_floor == 0 zero-objective degenerate, where ∞ > ∞ would
-    // wrongly drop points): the mixed sweep's "promote every point" mode.
-    for (const PromotionMargin& m : margins) out.push_back(m.result);
-    return out;
-  }
-  for (const PromotionMargin& m : margins)
-    if (m.in_band(band)) out.push_back(m.result);
-  return out;
-}
-
-std::vector<EvalResult> epsilon_band_by_workload(
-    const std::vector<EvalResult>& points, double band,
-    const ObjectiveSet& objectives, double abs_floor) {
-  std::map<std::string, std::vector<EvalResult>> groups;  // sorted by name
-  for (const EvalResult& p : points) groups[p.point.workload].push_back(p);
-  std::vector<EvalResult> out;
-  for (const auto& [name, group] : groups) {
-    (void)name;
-    std::vector<EvalResult> band_set =
-        epsilon_band(group, band, objectives, abs_floor);
-    out.insert(out.end(), std::make_move_iterator(band_set.begin()),
-               std::make_move_iterator(band_set.end()));
-  }
-  return out;
 }
 
 std::vector<EvalResult> pareto_front_by_workload(

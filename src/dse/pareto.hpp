@@ -45,119 +45,4 @@ bool is_dominated(const EvalResult& candidate,
                   const std::vector<EvalResult>& points,
                   const ObjectiveSet& objectives = ObjectiveSet::core());
 
-/// Absolute-slack floor added to the relative ε-dominance band. A purely
-/// relative band is zero-width around an objective whose value is exactly
-/// 0 (e.g. the accuracy proxy of a full-precision PSUM path): any point
-/// even infinitesimally worse there could never be forgiven, so near-ties
-/// of such front members were silently never promoted. The floor widens
-/// the slack of a value-v objective from band·v to band·(v + floor), so a
-/// band of ε forgives an absolute gap of up to ε·floor even at v == 0,
-/// while leaving objectives at physical scales (pJ, µm², seconds)
-/// numerically untouched.
-inline constexpr double kEpsilonBandAbsFloor = 1e-12;
-
-/// ε-dominance with relative slack `band` >= 0, evaluated in minimized
-/// space: `a` ε-dominates `b` iff a·(1 + band) + band·abs_floor is no
-/// worse than `b` in every active (minimized) objective and strictly
-/// better in at least one. band == 0 reduces exactly to `dominates` (the
-/// floor term vanishes). Active objectives must be non-negative in
-/// minimized space (the relative band is multiplicative), which every DSE
-/// objective is — minimize objectives natively, maximize ones by the
-/// clamped transforms in Objectives::minimized.
-bool epsilon_dominates(const Objectives& a, const Objectives& b, double band,
-                       const ObjectiveSet& objectives = ObjectiveSet::core(),
-                       double abs_floor = kEpsilonBandAbsFloor);
-
-/// Per-candidate promotion margin: the smallest relative band whose
-/// ε-band contains the point. Pareto-front members enter at 0; a
-/// dominated point enters once the band outgrows its worst-case gap to
-/// the front. `enter_inclusive` resolves the boundary exactly: the point
-/// is a member of epsilon_band(b) iff b > enter_band, or b == enter_band
-/// and enter_inclusive (a front member that merely ties the dominator at
-/// the threshold is already in). This is the one ranked-margin primitive
-/// both promotion paths of the mixed-fidelity sweep share: the band path
-/// (epsilon_band) thresholds the margins, the budget path
-/// (best_by_margin) ranks them.
-struct PromotionMargin {
-  EvalResult result;
-  double enter_band = 0.0;
-  bool enter_inclusive = true;
-
-  /// epsilon_band membership at `band` — the threshold rule spelled out.
-  /// With a positive abs_floor every margin is finite, so band = ∞ is
-  /// contained naturally; at abs_floor == 0 a zero-valued objective can
-  /// push enter_band to ∞ (the zero-width-band degenerate), which is why
-  /// epsilon_band special-cases non-finite bands rather than relying on
-  /// this rule there.
-  bool in_band(double band) const {
-    return band > enter_band || (band == enter_band && enter_inclusive);
-  }
-};
-
-/// Margins of every deduped candidate, in canonical-key order (the same
-/// dedup / validation / ordering contract as pareto_front). Margins are
-/// measured against the candidate set's own Pareto front — exact, because
-/// any ε-dominator of a point is itself ε-dominated-or-equalled by a
-/// front member.
-std::vector<PromotionMargin> promotion_margins(
-    const std::vector<EvalResult>& points,
-    const ObjectiveSet& objectives = ObjectiveSet::core(),
-    double abs_floor = kEpsilonBandAbsFloor);
-
-/// Per-workload margins (the scenario view): each point's margin is
-/// computed against its own workload's front, groups concatenated in
-/// workload-name order.
-std::vector<PromotionMargin> promotion_margins_by_workload(
-    const std::vector<EvalResult>& points,
-    const ObjectiveSet& objectives = ObjectiveSet::core(),
-    double abs_floor = kEpsilonBandAbsFloor);
-
-/// promotion_margins_by_workload re-ordered into promotion rank: margins
-/// ascending, a threshold-inclusive point before an exclusive one at the
-/// same margin, remaining ties broken by canonical key. Keys are unique
-/// after dedup, so the order is total and schedule-independent. The first
-/// `n` elements are exactly best_by_margin's selection; exposed so a
-/// budgeted caller can also read the cut's effective band
-/// (ranked.back().enter_band after truncation) without recomputing
-/// margins.
-std::vector<PromotionMargin> ranked_margins_by_workload(
-    const std::vector<EvalResult>& points,
-    const ObjectiveSet& objectives = ObjectiveSet::core(),
-    double abs_floor = kEpsilonBandAbsFloor);
-
-/// The `n` candidates closest to the front by ranked ε-dominance margin —
-/// the budgeted twin of epsilon_band. Margins are per workload (a point
-/// competes only against its own scenario's front) but the ranking and
-/// the budget are global (ranked_margins_by_workload): the first `n` are
-/// returned in rank order, so the cut at the budget boundary is
-/// deterministic for any input permutation or thread count. n >= the
-/// deduped candidate count returns everything — the budget analogue of
-/// band = ∞.
-std::vector<EvalResult> best_by_margin(
-    const std::vector<EvalResult>& points, index_t n,
-    const ObjectiveSet& objectives = ObjectiveSet::core(),
-    double abs_floor = kEpsilonBandAbsFloor);
-
-/// The ε-band of `points`: every point NOT ε-dominated by any other point
-/// under relative slack `band` — i.e. the Pareto front plus the near-front
-/// shell within `band` relative distance of it. Implemented as a
-/// threshold over promotion_margins; output is deduped and sorted by
-/// canonical key exactly like pareto_front. Properties the tests pin
-/// down: band == 0 yields the front itself; the band grows monotonically
-/// with `band`; a non-finite band keeps every point. This is the
-/// promotion set of the mixed-fidelity sweep: cheap analytic scores
-/// select it, the calibrated simulator re-scores it.
-std::vector<EvalResult> epsilon_band(
-    const std::vector<EvalResult>& points, double band,
-    const ObjectiveSet& objectives = ObjectiveSet::core(),
-    double abs_floor = kEpsilonBandAbsFloor);
-
-/// Per-workload ε-band (the scenario view, mirroring
-/// pareto_front_by_workload): groups by workload, extracts each group's
-/// band, concatenates in workload-name order.
-std::vector<EvalResult> epsilon_band_by_workload(
-    const std::vector<EvalResult>& points, double band,
-    const ObjectiveSet& objectives = ObjectiveSet::core(),
-    double abs_floor = kEpsilonBandAbsFloor);
-
 }  // namespace apsq::dse

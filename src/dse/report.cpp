@@ -108,8 +108,7 @@ Table front_table(const std::vector<EvalResult>& front) {
 }
 
 StatsWriter layer_stats_writer(Evaluator& eval,
-                               const std::vector<EvalResult>& front, size_t k,
-                               const std::string& fallback_label) {
+                               const std::vector<EvalResult>& front, size_t k) {
   StatsWriter sw({"workload", "dataflow", "psum_bits", "apsq", "group_size",
                   "po", "pci", "pco", "ifmap_buf_bytes", "ofmap_buf_bytes",
                   "weight_buf_bytes", "scored_by", "layer", "layer_class",
@@ -121,12 +120,7 @@ StatsWriter layer_stats_writer(Evaluator& eval,
   const size_t n = k == 0 ? front.size() : std::min(front.size(), k);
   for (size_t i = 0; i < n; ++i) {
     const EvalResult& r = front[i];
-    const std::string provenance =
-        r.scored_by.empty() ? fallback_label : r.scored_by;
-    const EvalBackend fidelity = provenance == "analytic"
-                                     ? EvalBackend::kAnalytic
-                                     : EvalBackend::kSim;
-    const WorkloadTelemetry t = eval.telemetry_for(r.point, fidelity);
+    const WorkloadTelemetry t = eval.telemetry_for(r.point);
     const DesignPoint& p = r.point;
     for (const LayerStats& ls : t.rows) {
       sw.begin_row();

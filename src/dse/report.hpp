@@ -27,12 +27,10 @@ std::string format_double(double v);
 
 /// One row per result: the full configuration plus every objective (one
 /// column per Objective, in enum order). A non-empty `scored_by` label
-/// (e.g. "analytic", "sim", "sim+cal", "mixed") appends a `scored_by`
-/// column so a persisted CSV records which backend — and whether
-/// calibration — stands behind its absolute numbers. Rows carrying their
-/// own EvalResult::scored_by provenance (every evaluator-produced result;
-/// mandatory for mixed sweeps, whose rows differ in fidelity) print that
-/// instead of the sweep-level label.
+/// ("analytic") appends a `scored_by` column so a persisted CSV records
+/// which models stand behind its absolute numbers. Rows carrying their
+/// own EvalResult::scored_by provenance (every evaluator-produced result)
+/// print that instead of the sweep-level label.
 CsvWriter results_csv(const std::vector<EvalResult>& results,
                       const std::string& scored_by = "");
 
@@ -40,15 +38,12 @@ CsvWriter results_csv(const std::vector<EvalResult>& results,
 Table front_table(const std::vector<EvalResult>& front);
 
 /// Per-layer telemetry of the leading `k` front rows (0 = every row): each
-/// point is re-scored at its own fidelity (scored_by "analytic" → the
-/// analytic models, anything else → the simulator; `fallback_label` stands
-/// in for rows without provenance) and contributes one row per layer
-/// instance — cycles, utilization, stall/idle split, SRAM/DRAM traffic by
-/// operand, bandwidth occupancy — prefixed with the same point-identity
-/// columns results_csv uses, so the two files join on them. The apsq_dse
-/// --layer-stats-csv table.
+/// point's closed-form telemetry (Evaluator::telemetry_for) contributes
+/// one row per layer instance — cycles, utilization, stall/idle split,
+/// SRAM/DRAM traffic by operand, bandwidth occupancy — prefixed with the
+/// same point-identity columns results_csv uses, so the two files join on
+/// them. The apsq_dse --layer-stats-csv table.
 StatsWriter layer_stats_writer(Evaluator& eval,
-                               const std::vector<EvalResult>& front, size_t k,
-                               const std::string& fallback_label);
+                               const std::vector<EvalResult>& front, size_t k);
 
 }  // namespace apsq::dse

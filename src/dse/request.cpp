@@ -11,7 +11,6 @@ namespace {
 
 /// The flag ranges, mirrored so a request rejects exactly what the CLI
 /// does.
-constexpr i64 kDimMax = i64{1} << 30;
 constexpr i64 kBudgetMax = i64{1} << 40;
 constexpr int kThreadsMax = 4096;
 constexpr int kTopMax = 1 << 20;
@@ -50,43 +49,17 @@ bool apply_request_field(const std::string& key, const JsonValue& v,
     } else if (key == "space") {
       c.space = v.as_string();
     } else if (key == "backend") {
-      c.backend = parse_backend(v.as_string());
+      parse_backend(v.as_string());  // validates: analytic is the only one
     } else if (key == "objectives") {
       c.objectives = ObjectiveSet::parse(v.as_string());
-    } else if (key == "promote_objectives") {
-      c.promote_objectives = ObjectiveSet::parse(v.as_string());
-      c.promote_objectives_set = true;
     } else if (key == "threads") {
       c.threads = as_int_in(v, source, where, key, 1, kThreadsMax);
-    } else if (key == "sim_threads") {
-      c.sim_threads = as_int_in(v, source, where, key, 1, kThreadsMax);
     } else if (key == "seed") {
       // JSON numbers are doubles, so seeds above 2^53 are not exactly
       // representable — as_i64 rejects them rather than rounding.
       const i64 s = v.as_i64();
       if (s < 0) request_error(source, where, "\"seed\" must be >= 0");
       c.seed = static_cast<u64>(s);
-    } else if (key == "shrink") {
-      c.shrink = as_int_in(v, source, where, key, 1, kDimMax);
-    } else if (key == "max_dim") {
-      c.max_dim = as_int_in(v, source, where, key, 1, kDimMax);
-    } else if (key == "calibrate") {
-      c.calibrate = v.as_bool();
-    } else if (key == "calibrate_per_class") {
-      c.calibrate_per_class = v.as_bool();
-    } else if (key == "calibration_csv") {
-      c.calibration_csv = v.as_string();
-    } else if (key == "promote_band") {
-      const double b = v.as_number();
-      if (!(b >= 0.0))
-        request_error(source, where, "\"promote_band\" must be >= 0");
-      c.promote_band = b;
-      c.promote_band_set = true;
-    } else if (key == "promote_adaptive") {
-      c.promote_adaptive = v.as_bool();
-    } else if (key == "promote_budget") {
-      c.promote_budget = as_i64_in(v, source, where, key, 1, kBudgetMax);
-      c.promote_budget_set = true;
     } else if (key == "mode") {
       c.mode = parse_run_mode(v.as_string());
     } else if (key == "strategy") {

@@ -7,10 +7,12 @@
 //
 // The recognized JSON keys mirror the apsq_dse flags one-to-one:
 //
-//   name, space, backend, objectives, promote_objectives, threads,
-//   sim_threads, seed, shrink, max_dim, calibrate, calibrate_per_class,
-//   calibration_csv, promote_band, promote_adaptive, promote_budget,
-//   where, csv, front_csv, top
+//   name, space, backend, mode, strategy, budget, search_seed,
+//   objectives, threads, seed, where, csv, front_csv, top
+//
+// "backend" accepts only "analytic" and "strategy" only "evolve": both
+// name the one scoring fidelity and search strategy, and stay so that
+// existing specs keep parsing.
 //
 // Parsing is strict (unknown key / wrong type / out-of-range value throw
 // naming the source, the context, and the key) but deliberately

@@ -4,7 +4,6 @@
 #include <set>
 #include <stdexcept>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -15,6 +14,9 @@ namespace apsq::dse {
 namespace {
 
 using clock_t_ = std::chrono::steady_clock;
+
+/// Rounds in a row without a front change after which the search stops.
+constexpr int kStableRounds = 2;
 
 double secs_since(clock_t_::time_point t0) {
   return std::chrono::duration<double>(clock_t_::now() - t0).count();
@@ -33,20 +35,16 @@ std::vector<std::string> front_keys(const std::vector<EvalResult>& results,
 
 }  // namespace
 
-const char* to_string(SearchStrategy s) {
-  switch (s) {
-    case SearchStrategy::kHalving: return "halving";
-    case SearchStrategy::kEvolve: return "evolve";
-  }
-  APSQ_CHECK_MSG(false, "unknown search strategy");
-  return "";
-}
+const char* to_string(SearchStrategy) { return "evolve"; }
 
 SearchStrategy parse_strategy(const std::string& name) {
-  if (name == "halving") return SearchStrategy::kHalving;
   if (name == "evolve") return SearchStrategy::kEvolve;
+  if (name == "halving")
+    throw std::invalid_argument(
+        "strategy halving was removed with the mixed backend (expected "
+        "evolve)");
   throw std::invalid_argument("unknown strategy: " + name +
-                              " (expected halving|evolve)");
+                              " (expected evolve)");
 }
 
 SearchDriver::SearchDriver(const ConfigSpace& space, Evaluator& eval,
@@ -54,13 +52,6 @@ SearchDriver::SearchDriver(const ConfigSpace& space, Evaluator& eval,
     : space_(space), eval_(eval), opt_(opt) {
   space_.validate();
   APSQ_CHECK_MSG(opt_.budget >= 1, "search budget must be >= 1");
-  if (opt_.strategy == SearchStrategy::kHalving) {
-    APSQ_CHECK_MSG(eval_.options().backend == EvalBackend::kMixed,
-                   "halving search needs the mixed backend");
-  } else {
-    APSQ_CHECK_MSG(eval_.options().backend != EvalBackend::kMixed,
-                   "evolve search needs a single-fidelity backend");
-  }
 }
 
 std::vector<index_t> SearchDriver::stratified_sample(index_t n, index_t count,
@@ -85,116 +76,8 @@ std::vector<index_t> SearchDriver::stratified_sample(index_t n, index_t count,
 std::map<index_t, EvalResult> SearchDriver::run() {
   const auto t0 = clock_t_::now();
   stats_ = SearchStats{};
-  stats_.strategy = opt_.strategy;
   stats_.budget = opt_.budget;
-  std::map<index_t, EvalResult> rows = opt_.strategy == SearchStrategy::kHalving
-                                           ? run_halving()
-                                           : run_evolve();
-  stats_.secs = secs_since(t0);
-  return rows;
-}
-
-std::map<index_t, EvalResult> SearchDriver::run_halving() {
   const index_t n = space_.size();
-  // Exploration cap: analytic scoring is cheap, so explore a generous
-  // multiple of the promotion budget — or the whole space when it fits.
-  const index_t cap =
-      std::min<index_t>(n, std::max<index_t>(4096, 16 * opt_.budget));
-  std::vector<index_t> indices;
-  if (cap == n) {
-    indices.reserve(static_cast<size_t>(n));
-    for (index_t i = 0; i < n; ++i) indices.push_back(i);
-  } else {
-    indices = stratified_sample(n, cap, Rng::stream(opt_.seed, 0));
-  }
-  std::vector<DesignPoint> pts;
-  pts.reserve(indices.size());
-  for (index_t i : indices) pts.push_back(space_.at(i));
-
-  // Exploration: analytic scores for the whole sample (rides free of the
-  // budget, which pays only for sim promotions).
-  std::vector<EvalResult> out =
-      eval_.evaluate_points_at(pts, EvalBackend::kAnalytic);
-  stats_.explored = static_cast<index_t>(out.size());
-
-  // Margins once, over the analytic scores (the same
-  // fixed-analytic-geometry rule as the adaptive mixed sweep — see the
-  // rationale in Evaluator::mixed_sweep). The budget then admits the
-  // best-margin `budget` keys; each ladder round promotes the in-band
-  // subset of that admitted set, so an unconstraining budget replicates
-  // the adaptive trajectory exactly.
-  std::vector<std::pair<std::string, PromotionMargin>> margins;
-  for (PromotionMargin& m :
-       promotion_margins_by_workload(out, opt_.objectives)) {
-    std::string key = canonical_key(m.result.point);
-    margins.emplace_back(std::move(key), std::move(m));
-  }
-  std::vector<PromotionMargin> ranked =
-      ranked_margins_by_workload(out, opt_.objectives);
-  if (static_cast<size_t>(opt_.budget) < ranked.size())
-    ranked.resize(static_cast<size_t>(opt_.budget));
-  std::unordered_set<std::string> allowed;
-  allowed.reserve(ranked.size());
-  for (const PromotionMargin& m : ranked)
-    allowed.insert(canonical_key(m.result.point));
-
-  std::vector<bool> simulated(out.size(), false);
-  index_t promoted_total = 0;
-  double band = 0.0;
-  int stable = 0;
-  std::vector<std::string> prev_front;
-  for (int round = 0;; ++round) {
-    const auto r0 = clock_t_::now();
-    if (round == 1)
-      band = opt_.adaptive_start;
-    else if (round > 1)
-      band *= opt_.adaptive_growth;
-    std::unordered_set<std::string> selected;
-    for (const auto& [key, margin] : margins)
-      if (margin.in_band(band) && allowed.count(key)) selected.insert(key);
-    std::vector<index_t> fresh;  // sample slots to re-score, slot order
-    for (size_t i = 0; i < out.size(); ++i)
-      if (!simulated[i] && selected.count(canonical_key(out[i].point))) {
-        simulated[i] = true;
-        fresh.push_back(static_cast<index_t>(i));
-      }
-    std::vector<DesignPoint> promote;
-    promote.reserve(fresh.size());
-    for (index_t i : fresh) promote.push_back(pts[static_cast<size_t>(i)]);
-    const std::vector<EvalResult> sim =
-        eval_.evaluate_points_at(promote, EvalBackend::kSim);
-    for (size_t j = 0; j < fresh.size(); ++j)
-      out[static_cast<size_t>(fresh[j])] = sim[j];
-    promoted_total += static_cast<index_t>(fresh.size());
-
-    SearchRoundStats rs;
-    rs.band = band;
-    rs.candidates = static_cast<index_t>(selected.size());
-    rs.evaluated_new = static_cast<index_t>(fresh.size());
-    std::vector<std::string> front =
-        front_keys(promoted_subset(out), opt_.objectives);
-    rs.front_size = static_cast<index_t>(front.size());
-    rs.front_changed = round == 0 || front != prev_front;
-    rs.secs = secs_since(r0);
-    prev_front = std::move(front);
-    stats_.rounds.push_back(rs);
-    if (promoted_total >= static_cast<index_t>(allowed.size())) break;
-    if (round > 0) stable = rs.front_changed ? 0 : stable + 1;
-    if (stable >= opt_.adaptive_stability) break;
-  }
-  stats_.evaluated = promoted_total;
-
-  std::map<index_t, EvalResult> rows;
-  for (size_t i = 0; i < indices.size(); ++i)
-    rows.emplace(indices[i], std::move(out[i]));
-  return rows;
-}
-
-std::map<index_t, EvalResult> SearchDriver::run_evolve() {
-  const index_t n = space_.size();
-  const EvalBackend fidelity = eval_.options().backend == EvalBackend::kAnalytic
-                                   ? EvalBackend::kAnalytic
-                                   : EvalBackend::kSim;
   // Per-axis radices for neighbour moves: a candidate's mixed-radix
   // digits, each nudged ±1 within its axis.
   std::vector<index_t> radix;
@@ -221,7 +104,7 @@ std::map<index_t, EvalResult> SearchDriver::run_evolve() {
     pts.reserve(batch.size());
     for (index_t i : batch) pts.push_back(space_.at(i));
     const std::vector<EvalResult> scored =
-        eval_.evaluate_points_at(pts, fidelity);
+        eval_.evaluate_points_at(pts, EvalBackend::kAnalytic);
     for (size_t j = 0; j < batch.size(); ++j) {
       key_to_index.emplace(canonical_key(scored[j].point), batch[j]);
       archive.emplace(batch[j], scored[j]);
@@ -306,8 +189,9 @@ std::map<index_t, EvalResult> SearchDriver::run_evolve() {
     prev_front = std::move(front);
     stats_.rounds.push_back(rs);
     stable = rs.front_changed ? 0 : stable + 1;
-    if (stable >= opt_.adaptive_stability) break;
+    if (stable >= kStableRounds) break;
   }
+  stats_.secs = secs_since(t0);
   return archive;
 }
 

@@ -1,32 +1,16 @@
 // Budgeted search over a lazily-decoded ConfigSpace: the alternative to
 // exhaustive sweep once fine-grained axes push the space past what
 // enumerate-and-score can touch (ConfigSpace::fine_default() is ~6×10⁷
-// points). Two strategies, both driving the Evaluator's point-at-a-time
-// oracle (evaluate_point / evaluate_points_at, memoized in the shared
-// transposition table so parallel searchers and successive rounds never
-// pay a score twice):
+// points). One strategy, `evolve`, driving the Evaluator's
+// point-at-a-time oracle (evaluate_point / evaluate_points_at, memoized in
+// the shared transposition table so successive rounds never pay a score
+// twice): a stratified seed batch, then rounds of ±1-step neighbours of
+// the current per-workload front plus random injections, batch-scored
+// until the budget is spent, the front is stable, or no unseen candidate
+// remains.
 //
-//   halving — successive halving over analytic fidelity with
-//             calibrated-sim promotion (mixed backend only). An analytic
-//             exploration pass scores a deterministic stratified sample
-//             (the whole space when it fits the exploration cap), then
-//             the adaptive ε-dominance-band ladder of the mixed sweep
-//             (promotion_margins, front-stability stopping) promotes
-//             near-front points to the calibrated simulator — except the
-//             promotion set is capped at `budget` points, best
-//             ranked-margin first. With a budget at least as large as the
-//             ladder's natural promotion count, the trajectory — and the
-//             front — is byte-identical to the exhaustive adaptive mixed
-//             sweep's.
-//   evolve  — seeded evolutionary / local search at a single fidelity
-//             (analytic or sim backend). A stratified seed batch, then
-//             rounds of ±1-step neighbours of the current per-workload
-//             front plus random injections, batch-scored until the
-//             budget is spent, the front is stable, or no unseen
-//             candidate remains.
-//
-// Both strategies are deterministic given (seed, budget): candidate
-// selection is single-threaded and pure, randomness comes from
+// The search is deterministic given (seed, budget): candidate selection
+// is single-threaded and pure, randomness comes from
 // Rng::stream(seed, round), and batch scoring lands in index-addressed
 // slots — so the result is byte-identical at any thread count.
 #pragma once
@@ -42,40 +26,33 @@
 
 namespace apsq::dse {
 
+/// The search strategy. It has one value; it names the strategy in
+/// scoring keys ("evolve") and keeps `--strategy evolve` a valid spelling.
 enum class SearchStrategy {
-  kHalving,  ///< analytic exploration → budgeted calibrated-sim promotion
-  kEvolve,   ///< seeded evolutionary/local search at one fidelity
+  kEvolve,  ///< seeded evolutionary/local search
 };
 
 const char* to_string(SearchStrategy s);
-/// Parse "halving" | "evolve"; throws std::invalid_argument on anything
-/// else (message lists the valid names, parse_enum_flag prints it).
+/// Parse "evolve"; throws std::invalid_argument on anything else (the
+/// removed "halving" strategy gets a message saying so; parse_enum_flag
+/// prints it).
 SearchStrategy parse_strategy(const std::string& name);
 
 struct SearchOptions {
-  SearchStrategy strategy = SearchStrategy::kHalving;
-  /// Evaluations the search may spend at its scoring fidelity: sim
-  /// promotions for halving (analytic exploration rides free), oracle
-  /// calls for evolve. Must be >= 1.
+  /// Oracle calls the search may spend. Must be >= 1.
   i64 budget = 0;
   /// Search-trajectory seed (candidate sampling / injections) — distinct
   /// from the evaluator's scoring seed, so re-seeding the search never
   /// changes any point's score.
   u64 seed = 1;
-  /// The objective plane candidate selection (margins, fronts) is
+  /// The objective plane candidate selection (per-round fronts) is
   /// measured in. Should match the objectives the caller extracts fronts
   /// over.
   ObjectiveSet objectives = ObjectiveSet::core();
-  // Halving band ladder — the same constants as the adaptive mixed sweep
-  // (EvaluatorOptions), so an unconstraining budget reproduces it.
-  double adaptive_start = 0.0125;
-  double adaptive_growth = 2.0;
-  int adaptive_stability = 2;
 };
 
-/// One search round (halving: one band widening; evolve: one generation).
+/// One search round (one generation).
 struct SearchRoundStats {
-  double band = 0.0;        ///< halving only: the ε slack promoted at
   index_t candidates = 0;   ///< points the round considered
   index_t evaluated_new = 0;  ///< budget-charged evaluations this round
   index_t front_size = 0;
@@ -84,9 +61,7 @@ struct SearchRoundStats {
 };
 
 struct SearchStats {
-  SearchStrategy strategy = SearchStrategy::kHalving;
   i64 budget = 0;
-  index_t explored = 0;   ///< halving: analytic exploration evaluations
   index_t evaluated = 0;  ///< budget-charged evaluations (<= budget)
   std::vector<SearchRoundStats> rounds;
   double secs = 0.0;
@@ -94,22 +69,17 @@ struct SearchStats {
 
 class SearchDriver {
  public:
-  /// `space` and `eval` must outlive the driver. Halving requires an
-  /// evaluator with the mixed backend; evolve a single-fidelity one.
+  /// `space` and `eval` must outlive the driver.
   SearchDriver(const ConfigSpace& space, Evaluator& eval, SearchOptions opt);
 
   /// Run the search. Returns the scored rows keyed by point index —
   /// sparse (nowhere near size() on a large space), byte-identical for a
-  /// fixed (seed, budget) at any thread count. Halving rows mix
-  /// fidelities exactly like a mixed sweep's (promoted rows carry
-  /// scored_by "sim+cal"); extract fronts over the promoted subset.
+  /// fixed (seed, budget) at any thread count.
   std::map<index_t, EvalResult> run();
 
   const SearchStats& stats() const { return stats_; }
 
  private:
-  std::map<index_t, EvalResult> run_halving();
-  std::map<index_t, EvalResult> run_evolve();
   /// `count` strata over [0, n), one uniform pick per stratum via `rng` —
   /// strictly increasing, so the result is sorted and duplicate-free.
   std::vector<index_t> stratified_sample(index_t n, index_t count, Rng rng) const;

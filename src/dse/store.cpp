@@ -266,6 +266,9 @@ size_t EvalStore::load_file(const std::string& path) {
       e.space_hash = je.get("space_hash").as_string();
       e.scoring = je.get("scoring").as_string();
       e.backend = je.get("backend").as_string();
+      if (e.backend != "analytic")
+        throw bad("entry " + std::to_string(ei) + ": backend \"" +
+                  e.backend + "\" was removed; only analytic snapshots load");
       e.space_points = je.get("points").as_i64();
       if (e.space_points <= 0)
         throw bad("entry " + std::to_string(ei) +

@@ -4,31 +4,33 @@
 //
 // A snapshot entry is keyed by the *canonical config-space hash* (what
 // was swept) plus a *scoring key* (how it was scored —
-// SweepConfig::scoring_key(): backend, seed, scaling, calibration mode,
-// promotion rule). Within an entry, results are keyed by point index in
-// the space's enumeration order; each row carries the full point
-// identity, its scored_by provenance, and every objective of
-// ObjectiveSet::all() — so a reloaded entry can be re-sliced over any
-// objective subset, constraint-filtered, or margin-ranked without
+// SweepConfig::scoring_key(): the accuracy-proxy seed and, for a budgeted
+// search, its trajectory). Every entry holds closed-form ("analytic")
+// scores, the one scoring fidelity (evaluator.hpp). Within an entry,
+// results are keyed by point index in the space's enumeration order;
+// each row carries the full point identity, its scored_by provenance, and
+// every objective of ObjectiveSet::all() — so a reloaded entry can be
+// re-sliced over any objective subset or constraint-filtered without
 // touching the evaluator, and the fronts come out byte-identical to a
 // fresh sweep (doubles round-trip through "%.17g").
 //
 // Snapshots are JSON (the emit side mirrors StatsWriter's conventions;
 // the read side is common/json.hpp). Loading is strict *and atomic*: an
-// unreadable, truncated, malformed, or version-mismatched file throws
-// std::runtime_error naming the file and the reason, and leaves the
-// in-memory store exactly as it was — a corrupt snapshot must never
-// crash the process, silently stand in for real results, or leave a
-// half-merged entry set behind.
+// unreadable, truncated, malformed, or version-mismatched file — or one
+// holding an entry scored by a removed backend (any label but
+// "analytic") — throws std::runtime_error naming the file and the
+// reason, and leaves the in-memory store exactly as it was — a corrupt
+// snapshot must never crash the process, silently stand in for real
+// results, or leave a half-merged entry set behind.
 //
 // Thread safety: the store is internally synchronized (one batch of job
-// specs shares a single store across sessions today; the planned resident
-// daemon will serve it to concurrent front queries). Entries are
-// copy-on-write — find() hands out a shared_ptr to an immutable Entry, so
-// a reader re-slicing a snapshot is never invalidated by a concurrent
-// put() or load_file() replacing the entry under the same key. The map
-// and source path are APSQ_GUARDED_BY(mu_); entries themselves are
-// immutable once published and need no lock.
+// specs shares a single store across sessions; the resident daemon
+// serves it to concurrent front queries). Entries are copy-on-write —
+// find() hands out a shared_ptr to an immutable Entry, so a reader
+// re-slicing a snapshot is never invalidated by a concurrent put() or
+// load_file() replacing the entry under the same key. The map and source
+// path are APSQ_GUARDED_BY(mu_); entries themselves are immutable once
+// published and need no lock.
 #pragma once
 
 #include <iosfwd>
@@ -79,8 +81,9 @@ class EvalStore {
   /// key replaces any in-memory one. Returns the number of entries
   /// loaded. Throws std::runtime_error — message prefixed with `path` —
   /// on an unreadable file, a parse error, a wrong format marker or
-  /// version, or any malformed/duplicate/out-of-range row; on a throw the
-  /// store is left unchanged (all-or-nothing merge).
+  /// version, an entry whose backend label is not "analytic", or any
+  /// malformed/duplicate/out-of-range row; on a throw the store is left
+  /// unchanged (all-or-nothing merge).
   size_t load_file(const std::string& path) APSQ_EXCLUDES(mu_);
 
   /// Serialize every entry (sorted by key — byte-stable across runs).

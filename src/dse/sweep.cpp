@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -51,55 +50,16 @@ bool SweepConfig::validate(std::ostream& err) const {
       return false;
     }
   }
-  // Search-mode consistency: the search knobs require --mode search, a
-  // search requires a budget, and each strategy names the backends it
-  // can drive (halving IS the budgeted mixed pipeline; evolve scores at
-  // one fidelity).
-  if (!(flag_requires(strategy_set, "--strategy", search(), "--mode search",
-                      err) &&
-        flag_requires(budget_set, "--budget", search(), "--mode search",
-                      err) &&
-        flag_requires(search_seed_set, "--search-seed", search(),
-                      "--mode search", err) &&
-        flag_requires(search(), "--mode search", budget_set && budget >= 1,
-                      "--budget >= 1", err) &&
-        flag_requires(search() && effective_strategy() == SearchStrategy::kHalving,
-                      "--strategy halving", mixed(), "--backend mixed", err) &&
-        flag_requires(search() && effective_strategy() == SearchStrategy::kEvolve,
-                      "--strategy evolve", !mixed(),
-                      "--backend analytic or sim", err)))
-    return false;
-  // A promotion flag outside the mixed backend, a calibration flag on the
-  // analytic backend, or two conflicting promotion rules would silently
-  // not do what was asked — fail naming the flags instead. These are the
-  // former apsq_dse main() rules verbatim; CLI and job-spec configs both
-  // come through here, so the two paths reject identically.
-  return flag_requires(calibrate, "--calibrate",
-                       backend != EvalBackend::kAnalytic,
-                       "--backend sim or mixed", err) &&
-         flag_requires(promote_band_set, "--promote-band", mixed(),
-                       "--backend mixed", err) &&
-         flag_requires(promote_adaptive, "--promote-adaptive", mixed(),
-                       "--backend mixed", err) &&
-         flag_requires(promote_budget_set, "--promote-budget", mixed(),
-                       "--backend mixed", err) &&
-         flag_requires(promote_objectives_set, "--promote-objectives", mixed(),
-                       "--backend mixed", err) &&
-         flags_exclusive(promote_band_set, "--promote-band", promote_adaptive,
-                         "--promote-adaptive", err) &&
-         flags_exclusive(promote_band_set, "--promote-band",
-                         promote_budget_set, "--promote-budget", err) &&
-         flags_exclusive(promote_adaptive, "--promote-adaptive",
-                         promote_budget_set, "--promote-budget", err) &&
-         // Without a calibrator the CSV would be silently neither loaded
-         // nor written — reject the ineffective flag like any other
-         // misuse.
-         flag_requires(!calibration_csv.empty(), "--calibration-csv",
-                       calibrate || mixed(), "--calibrate or --backend mixed",
+  // Search-mode consistency: the search knobs require --mode search, and
+  // a search requires a budget.
+  return flag_requires(strategy_set, "--strategy", search(), "--mode search",
                        err) &&
-         flag_requires(calibrate_per_class, "--calibrate-per-class",
-                       calibrate || mixed(), "--calibrate or --backend mixed",
-                       err);
+         flag_requires(budget_set, "--budget", search(), "--mode search",
+                       err) &&
+         flag_requires(search_seed_set, "--search-seed", search(),
+                       "--mode search", err) &&
+         flag_requires(search(), "--mode search", budget_set && budget >= 1,
+                       "--budget >= 1", err);
 }
 
 ConfigSpace SweepConfig::make_space() const {
@@ -109,20 +69,13 @@ ConfigSpace SweepConfig::make_space() const {
   throw std::invalid_argument("unknown space: " + space);
 }
 
-SearchStrategy SweepConfig::effective_strategy() const {
-  if (strategy_set) return strategy;
-  return mixed() ? SearchStrategy::kHalving : SearchStrategy::kEvolve;
-}
-
 SearchOptions SweepConfig::search_options() const {
   SearchOptions sopt;
-  sopt.strategy = effective_strategy();
   sopt.budget = budget;
   sopt.seed = search_seed;
-  // Select candidates in the same plane promotion runs in — and fronts
-  // are extracted in — so the searched set provably covers the reported
-  // front.
-  sopt.objectives = effective_promote_objectives();
+  // Select candidates in the plane fronts are extracted in, so the
+  // searched set covers the reported front.
+  sopt.objectives = objectives;
   return sopt;
 }
 
@@ -130,71 +83,31 @@ int SweepConfig::resolved_threads() const {
   return threads > 0 ? threads : WorkStealingPool::hardware_threads();
 }
 
-ObjectiveSet SweepConfig::effective_promote_objectives() const {
-  return promote_objectives_set ? promote_objectives : objectives;
-}
-
 EvaluatorOptions SweepConfig::evaluator_options() const {
   EvaluatorOptions eopt;
   eopt.threads = resolved_threads();
   eopt.seed = seed;
-  eopt.backend = backend;
-  eopt.sim.shrink = shrink;
-  eopt.sim.max_dim = max_dim;
-  eopt.sim.seed = seed;
-  // Nested scopes share one pool, so layer-level parallelism defaults on:
-  // it fills the workers whenever there are fewer ready points than cores.
-  if (backend != EvalBackend::kAnalytic)
-    eopt.sim.threads = sim_threads > 0 ? sim_threads : resolved_threads();
-  eopt.calibrate = calibrate;
-  eopt.calibrate_per_class = calibrate_per_class;
-  eopt.promote_band = promote_band;
-  eopt.promote_adaptive = promote_adaptive;
-  eopt.promote_budget = promote_budget_set ? promote_budget : 0;
-  // Promote in the same objective plane the front is extracted in (unless
-  // pinned explicitly), so the promoted set provably covers the reported
-  // front.
-  eopt.promote_objectives = effective_promote_objectives();
   return eopt;
 }
 
 std::string SweepConfig::scored_by_label() const {
-  if (mixed()) return "mixed";
-  return std::string(to_string(backend)) + (calibrate ? "+cal" : "");
+  return to_string(EvalBackend::kAnalytic);
 }
 
 std::string SweepConfig::scoring_key() const {
   // Everything that can change a result's *value*. Threads are excluded
   // (parallel == serial byte-identical is an engine invariant), as are
-  // the slicing objectives and all output paths. Sim scaling and
-  // calibration only matter once the simulator is in the loop; the
-  // promotion rule only under the mixed backend — excluding them
-  // otherwise lets an analytic snapshot keep answering when an irrelevant
-  // knob differs.
+  // a sweep's slicing objectives and all output paths.
   std::ostringstream os;
-  os << "backend=" << to_string(backend) << "|seed=" << seed;
-  if (backend != EvalBackend::kAnalytic) {
-    os << "|shrink=" << shrink << "|max_dim=" << max_dim
-       << "|cal=" << (calibrate || mixed() ? 1 : 0)
-       << "|percls=" << (calibrate_per_class ? 1 : 0);
-  }
-  if (mixed()) {
-    if (promote_adaptive)
-      os << "|promote=adaptive";
-    else if (promote_budget_set)
-      os << "|promote=budget:" << promote_budget;
-    else
-      os << "|promote=band:" << format_double(promote_band);
-    os << "|plane=" << effective_promote_objectives().to_string();
-  }
+  os << "backend=" << to_string(EvalBackend::kAnalytic) << "|seed=" << seed;
   if (search()) {
     // A search answer is the output of one deterministic trajectory —
-    // strategy, budget, and trajectory seed all shape which rows exist —
-    // so search entries never cross-talk with exhaustive snapshots or
-    // with differently-parameterized searches.
-    os << "|mode=search|strategy=" << to_string(effective_strategy())
-       << "|budget=" << budget << "|sseed=" << search_seed;
-    if (!mixed()) os << "|plane=" << effective_promote_objectives().to_string();
+    // strategy, budget, trajectory seed and selection plane all shape
+    // which rows exist — so search entries never cross-talk with
+    // exhaustive snapshots or with differently-parameterized searches.
+    os << "|mode=search|strategy=" << to_string(strategy)
+       << "|budget=" << budget << "|sseed=" << search_seed
+       << "|plane=" << objectives.to_string();
   }
   return os.str();
 }
@@ -290,10 +203,7 @@ std::vector<EvalResult> extract_front(
     const std::vector<EvalResult>& results, size_t* global_front_size) {
   // Workload is a scenario, not a knob: the headline front is per
   // workload; the cross-workload (global) front is reported as a count.
-  // A mixed sweep's front is extracted over the sim-re-scored (promoted)
-  // subset only, so dominance always compares equal-fidelity scores.
-  const std::vector<EvalResult> basis = filter_results(
-      cfg.mixed() ? promoted_subset(results) : results, constraints);
+  const std::vector<EvalResult> basis = filter_results(results, constraints);
   if (global_front_size != nullptr)
     *global_front_size = pareto_front(basis, cfg.objectives).size();
   return pareto_front_by_workload(basis, cfg.objectives);
@@ -312,11 +222,6 @@ SweepOutcome SweepSession::run() {
   // the batch runner's to load once up front.
   if (owned_store_ != nullptr && !cfg_.store_in.empty())
     owned_store_->load_file(cfg_.store_in);
-
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      std::ifstream(cfg_.calibration_csv).good())
-    out.calibration_families_loaded = static_cast<i64>(
-        eval_->calibrator()->load_unit_factors_csv(cfg_.calibration_csv));
 
   const std::string hash = config_space_hash(space_);
   const std::string scoring = cfg_.scoring_key();
@@ -346,10 +251,7 @@ SweepOutcome SweepSession::run() {
                              "record one");
   }
 
-  // The mixed pipeline's promotion set depends on the whole space, so a
-  // partial mixed snapshot cannot be completed point-by-point — only a
-  // complete one answers; otherwise the two-phase sweep runs in full.
-  if (entry != nullptr && (entry->complete() || !cfg_.mixed())) {
+  if (entry != nullptr) {
     out.results.resize(static_cast<size_t>(space_.size()));
     std::vector<index_t> misses;
     for (index_t i = 0; i < space_.size(); ++i) {
@@ -398,9 +300,6 @@ SweepOutcome SweepSession::run() {
       !owned_store_->save_file(cfg_.store_out))
     throw std::runtime_error("failed to write " + cfg_.store_out);
 
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      !eval_->calibrator()->unit_factors_csv().write(cfg_.calibration_csv))
-    throw std::runtime_error("failed to write " + cfg_.calibration_csv);
   return out;
 }
 
@@ -409,11 +308,6 @@ SweepOutcome SweepSession::run_search() {
   EvalStore* st = store();
   if (owned_store_ != nullptr && !cfg_.store_in.empty())
     owned_store_->load_file(cfg_.store_in);
-
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      std::ifstream(cfg_.calibration_csv).good())
-    out.calibration_families_loaded = static_cast<i64>(
-        eval_->calibrator()->load_unit_factors_csv(cfg_.calibration_csv));
 
   const std::string hash = config_space_hash(space_);
   const std::string scoring = cfg_.scoring_key();
@@ -471,24 +365,17 @@ SweepOutcome SweepSession::run_search() {
   if (owned_store_ != nullptr && !cfg_.store_out.empty() &&
       !owned_store_->save_file(cfg_.store_out))
     throw std::runtime_error("failed to write " + cfg_.store_out);
-  if (eval_->calibrator() && !cfg_.calibration_csv.empty() &&
-      !eval_->calibrator()->unit_factors_csv().write(cfg_.calibration_csv))
-    throw std::runtime_error("failed to write " + cfg_.calibration_csv);
   return out;
 }
 
 bool SweepSession::verify_serial(const SweepOutcome& out, std::ostream& err) {
   SweepConfig scfg = cfg_;
   scfg.threads = 1;
-  scfg.sim_threads = 1;  // fully serial: no layer-level parallelism either
   // The serial run must actually evaluate — a store answering both runs
   // would verify nothing but the store's own determinism.
   scfg.store_in.clear();
   scfg.store_out.clear();
   SweepSession serial(scfg);
-  // Identical calibration inputs: the serial evaluator preloads the saved
-  // factors when a CSV path is in play (run() above just wrote them);
-  // otherwise it refits the same (pure) anchor values.
   SweepOutcome sout = serial.run();
   const std::string a =
       results_csv(sout.front, scfg.scored_by_label()).to_string();
@@ -521,30 +408,15 @@ StatsWriter SweepSession::stats_writer(const SweepOutcome& out) const {
   put_cache("energy", eval_->energy_cache_stats());
   put_cache("area", eval_->area_cache_stats());
   put_cache("accuracy", eval_->accuracy_cache_stats());
-  if (cfg_.backend != EvalBackend::kSim)
-    put_cache("latency", eval_->latency_cache_stats());
-  if (cfg_.backend != EvalBackend::kAnalytic)
-    put_cache("sim", eval_->sim_cache_stats());
+  put_cache("latency", eval_->latency_cache_stats());
   const WorkStealingPool& pool = WorkStealingPool::shared();
   put("pool_threads", pool.num_threads());
   put("pool_runs", pool.run_count());
   put("pool_steals", pool.steal_count());
-  if (eval_->calibrator())
-    put("calibration_families", eval_->calibrator()->family_count());
-  if (cfg_.mixed() && !cfg_.search()) {
-    const MixedSweepStats& ms = eval_->mixed_stats();
-    put("mixed_total", ms.total);
-    put("mixed_promoted", ms.promoted);
-    put("mixed_band", ms.band);
-    put("mixed_phase1_secs", ms.phase1_secs);
-    put("mixed_phase2_secs", ms.phase2_secs);
-    put("mixed_rounds", static_cast<i64>(ms.rounds.size()));
-  }
   if (cfg_.search()) {
-    put("search_strategy", std::string(to_string(cfg_.effective_strategy())));
+    put("search_strategy", std::string(to_string(cfg_.strategy)));
     put("search_budget", cfg_.budget);
     put("search_evaluated", out.search.evaluated);
-    put("search_explored", out.search.explored);
     put("search_rounds", static_cast<i64>(out.search.rounds.size()));
     put_cache("score_tt", eval_->score_tt_stats());
   }

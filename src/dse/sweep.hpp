@@ -3,25 +3,25 @@
 // batch job runner, a future daemon — runs identical sweeps
 // programmatically.
 //
-//   SweepConfig   — one declarative sweep description: space, fidelity
-//                   backend, objective planes, promotion rule,
-//                   calibration, scaling, threading. validate() holds the
-//                   cross-field consistency rules (the CLI's former
-//                   flag_requires / flags_exclusive block), so the flag
-//                   path and the JSON job-spec path reject inconsistent
-//                   configs with identical messages.
+//   SweepConfig   — one declarative sweep description: space, run mode
+//                   (exhaustive sweep or budgeted search), objective
+//                   plane, scoring seed, threading. validate() holds the
+//                   cross-field consistency rules, so the flag path and
+//                   the JSON job-spec path reject inconsistent configs
+//                   with identical messages.
 //   SweepSession  — owns the ConfigSpace and the Evaluator a config
 //                   denotes, runs the sweep (optionally answering from /
 //                   recording into an EvalStore), extracts the fronts,
 //                   and can re-verify the result against a fully serial
 //                   re-run.
 //
-// A session attached to an EvalStore answers warm queries without
-// evaluating: if the store holds a snapshot for this space (canonical
-// hash) under this scoring identity (scoring_key()), the stored results
-// are re-sliced — a different objective subset, a constraint filter, a
-// margin ranking — and only missing points are evaluated, batched
-// together through the process-wide shared pool.
+// Every point is scored by the Evaluator's closed-form models (the one
+// scoring fidelity, evaluator.hpp). A session attached to an EvalStore
+// answers warm queries without evaluating: if the store holds a snapshot
+// for this space (canonical hash) under this scoring identity
+// (scoring_key()), the stored results are re-sliced — a different
+// objective subset or a constraint filter — and only missing points are
+// evaluated, batched together through the process-wide shared pool.
 #pragma once
 
 #include <iostream>
@@ -57,43 +57,25 @@ inline constexpr index_t kMaxExhaustiveSweepPoints = index_t{1} << 20;
 /// Everything one sweep needs, declaratively. Field semantics and
 /// defaults mirror the apsq_dse flags one-to-one (the *_set booleans
 /// record "explicitly given", which the consistency rules need — an
-/// explicit --promote-band outside the mixed backend is an error, the
-/// default value is not).
+/// explicit --budget outside search mode is an error, the default value
+/// is not).
 struct SweepConfig {
   /// "paper" (1248 pts) | "smoke" (8 pts) | "fine" (~6×10⁷ pts,
   /// search-only).
   std::string space = "paper";
-  EvalBackend backend = EvalBackend::kAnalytic;
   /// Exhaustive sweep (default) or budgeted search.
   RunMode mode = RunMode::kSweep;
-  SearchStrategy strategy = SearchStrategy::kHalving;
+  SearchStrategy strategy = SearchStrategy::kEvolve;
   bool strategy_set = false;
-  i64 budget = 0;  ///< search mode: fidelity-evaluation budget (required)
+  i64 budget = 0;  ///< search mode: evaluation budget (required)
   bool budget_set = false;
   u64 search_seed = 1;  ///< search-trajectory seed (not the scoring seed)
   bool search_seed_set = false;
-  /// The plane fronts are extracted (and re-sliced) in.
+  /// The plane fronts are extracted (and re-sliced) in, and the plane a
+  /// search selects its candidates in.
   ObjectiveSet objectives;
-  /// Mixed backend: the plane promotion margins are measured in. Follows
-  /// `objectives` unless explicitly set — fixing it while varying
-  /// `objectives` is how a stored mixed sweep stays re-sliceable.
-  ObjectiveSet promote_objectives;
-  bool promote_objectives_set = false;
   int threads = 0;      ///< 0 = hardware concurrency
-  int sim_threads = 0;  ///< 0 = follow threads (sim/mixed backends only)
-  u64 seed = 0xD5EULL;
-  i64 shrink = 32;   ///< sim backend: dimension divisor
-  i64 max_dim = 48;  ///< sim backend: dimension clamp
-  bool calibrate = false;
-  double promote_band = 0.05;
-  bool promote_band_set = false;
-  bool promote_adaptive = false;
-  i64 promote_budget = 0;
-  bool promote_budget_set = false;
-  bool calibrate_per_class = false;
-  /// Load fitted calibration unit factors from here if the file exists,
-  /// and persist them here after the sweep.
-  std::string calibration_csv;
+  u64 seed = 0xD5EULL;  ///< accuracy-proxy seed
   /// Answer this sweep from a snapshot file (error if it has no matching
   /// snapshot) / snapshot the evaluated space here afterwards.
   std::string store_in;
@@ -103,13 +85,7 @@ struct SweepConfig {
   /// terms (e.g. "area<=2.5e6,latency<=0.01"), values in natural units.
   std::string where;
 
-  bool mixed() const { return backend == EvalBackend::kMixed; }
   bool search() const { return mode == RunMode::kSearch; }
-
-  /// The strategy a search runs: the explicit one, else halving for the
-  /// mixed backend (it is the budgeted mixed pipeline) and evolve for the
-  /// single-fidelity ones.
-  SearchStrategy effective_strategy() const;
 
   /// The SearchOptions this config denotes (search mode only).
   SearchOptions search_options() const;
@@ -127,22 +103,19 @@ struct SweepConfig {
   /// threads, with 0 resolved to the hardware concurrency.
   int resolved_threads() const;
 
-  /// promote_objectives if explicitly set, else objectives — the plane
-  /// the evaluator's promotion actually runs in.
-  ObjectiveSet effective_promote_objectives() const;
-
   /// The EvaluatorOptions this config denotes (what the CLI's main() used
   /// to assemble inline).
   EvaluatorOptions evaluator_options() const;
 
-  /// Sweep-level provenance label ("analytic", "sim", "sim+cal",
-  /// "mixed") — the results_csv fallback for rows without their own.
+  /// Sweep-level provenance label ("analytic") — the results_csv
+  /// fallback for rows without their own.
   std::string scored_by_label() const;
 
   /// Canonical identity of everything that determines the *values* of
-  /// this sweep's results (backend, seed, scaling, calibration mode,
-  /// promotion rule and plane — but not threads, output paths, or the
-  /// slicing objectives, which never change a score). Two configs with
+  /// this sweep's results: the scoring seed and, for a search, the
+  /// trajectory (strategy, budget, search seed, selection plane) — but
+  /// not threads, output paths, or the slicing objectives of a sweep,
+  /// which never change a score. Two configs with
   /// equal scoring keys over the same space produce byte-identical result
   /// sets, which is what lets an EvalStore snapshot stand in for a fresh
   /// evaluation.
@@ -165,9 +138,8 @@ std::vector<Constraint> parse_constraints(const std::string& text);
 std::vector<EvalResult> filter_results(const std::vector<EvalResult>& results,
                                        const std::vector<Constraint>& cs);
 
-/// The per-workload Pareto front `cfg` denotes over `results`: the basis
-/// is the promoted subset for mixed sweeps (dominance only compares
-/// equal-fidelity scores), filtered by `constraints`;
+/// The per-workload Pareto front `cfg` denotes over `results`, filtered
+/// by `constraints`;
 /// `global_front_size`, when non-null, receives the size of the
 /// cross-workload front over the same basis. SweepSession and the daemon
 /// dispatcher both extract through here, so their fronts are
@@ -184,7 +156,7 @@ struct SweepOutcome {
   /// explored — results.size() is nowhere near space.size() then.
   std::vector<EvalResult> results;
   /// Per-workload Pareto front over cfg.objectives (after the `where`
-  /// filter; over the promoted subset for mixed sweeps).
+  /// filter).
   std::vector<EvalResult> front;
   /// Size of the cross-workload (global) front over the same basis.
   size_t global_front_size = 0;
@@ -193,8 +165,6 @@ struct SweepOutcome {
   /// reports 0 here — the acceptance signal that no evaluation was paid.
   index_t fresh_evaluations = 0;
   index_t store_hits = 0;  ///< points answered from the EvalStore
-  /// Families loaded from calibration_csv (-1: no load happened).
-  i64 calibration_families_loaded = -1;
   /// Search mode, cold runs only: the driver's round/budget accounting
   /// (all-zero on a warm store replay — nothing ran).
   SearchStats search;
@@ -217,9 +187,8 @@ class SweepSession {
 
   /// Run the sweep: answer from the store where possible, evaluate the
   /// (batched) misses, record the full result set back into the store,
-  /// extract the fronts, persist calibration factors / the store snapshot
-  /// when configured. Throws std::runtime_error on store/calibration I/O
-  /// or consistency failures.
+  /// extract the fronts, persist the store snapshot when configured.
+  /// Throws std::runtime_error on store I/O or consistency failures.
   SweepOutcome run();
 
   /// Re-run fully serially (threads = 1, no store) and require the
@@ -229,8 +198,7 @@ class SweepSession {
   bool verify_serial(const SweepOutcome& out, std::ostream& err = std::cerr);
 
   /// The --stats-json table for one outcome: eval/cache/pool counters,
-  /// store hit accounting, calibration family count, mixed phase
-  /// timings.
+  /// store hit accounting, search accounting.
   StatsWriter stats_writer(const SweepOutcome& out) const;
 
   Evaluator& evaluator() { return *eval_; }

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -63,9 +62,8 @@ Dispatcher::Group& Dispatcher::group_for(const std::string& hash,
     const auto it = groups_.find(key);
     if (it != groups_.end()) return *it->second;
   }
-  // Build the group outside the dispatcher lock (evaluator construction
-  // may fit calibration anchors); publish under it — first writer wins,
-  // a racing loser's evaluator is simply discarded.
+  // Build the group outside the dispatcher lock; publish under it —
+  // first writer wins, a racing loser's evaluator is simply discarded.
   auto g = std::make_unique<Group>();
   // Pin the shared pool's width like SweepSession does (first parallel
   // config wins; an explicit APSQ_POOL_THREADS env var beats both; a
@@ -75,12 +73,6 @@ Dispatcher::Group& Dispatcher::group_for(const std::string& hash,
            std::to_string(req.config.resolved_threads()).c_str(),
            /*overwrite=*/0);
   g->eval = std::make_unique<dse::Evaluator>(req.config.evaluator_options());
-  // Preload fitted calibration factors exactly the way a session would,
-  // so calibrated fronts stay byte-identical to batch mode. The daemon
-  // never writes the CSV back — it only answers queries.
-  if (g->eval->calibrator() && !req.config.calibration_csv.empty() &&
-      std::ifstream(req.config.calibration_csv).good())
-    g->eval->calibrator()->load_unit_factors_csv(req.config.calibration_csv);
   MutexLock lock(mu_);
   const auto it = groups_.emplace(key, std::move(g)).first;
   return *it->second;
@@ -227,14 +219,8 @@ QueryResult Dispatcher::query(const dse::RequestSpec& req) {
 
   out.results.resize(static_cast<size_t>(space.size()));
   std::vector<index_t> misses;
-  // The mixed pipeline's promotion set depends on the whole space, so a
-  // partial mixed snapshot cannot be completed point-by-point — only a
-  // complete one answers; otherwise the full space is (re)evaluated in
-  // one batch, which for the mixed backend IS the two-phase sweep.
-  const bool usable =
-      entry != nullptr && (entry->complete() || !req.config.mixed());
   for (index_t i = 0; i < space.size(); ++i) {
-    if (usable) {
+    if (entry != nullptr) {
       const auto it = entry->results.find(i);
       if (it != entry->results.end()) {
         check_row(i, it->second);

@@ -181,13 +181,19 @@ TEST(CliParse, FlagsExclusiveNamesBothFlags) {
 TEST(CliParse, EnumFlagParsesAllBackends) {
   dse::EvalBackend backend = dse::EvalBackend::kAnalytic;
   std::ostringstream err;
-  EXPECT_TRUE(
-      parse_enum_flag("--backend", "mixed", dse::parse_backend, backend, err));
-  EXPECT_EQ(backend, dse::EvalBackend::kMixed);
-  EXPECT_TRUE(
-      parse_enum_flag("--backend", "sim", dse::parse_backend, backend, err));
-  EXPECT_EQ(backend, dse::EvalBackend::kSim);
+  EXPECT_TRUE(parse_enum_flag("--backend", "analytic", dse::parse_backend,
+                              backend, err));
+  EXPECT_EQ(backend, dse::EvalBackend::kAnalytic);
   EXPECT_TRUE(err.str().empty());
+  // The removed backends fail naming the flag and the removal.
+  for (const char* removed : {"sim", "mixed"}) {
+    std::ostringstream rerr;
+    EXPECT_FALSE(parse_enum_flag("--backend", removed, dse::parse_backend,
+                                 backend, rerr));
+    EXPECT_EQ(rerr.str(), std::string("--backend: backend ") + removed +
+                              " was removed: scoring is analytic only "
+                              "(expected analytic)\n");
+  }
 }
 
 }  // namespace

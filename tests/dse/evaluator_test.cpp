@@ -6,8 +6,10 @@
 #include <set>
 #include <stdexcept>
 
+#include "common/thread_pool.hpp"
 #include "dse/pareto.hpp"
 #include "dse/report.hpp"
+#include "sim/stats.hpp"
 
 namespace apsq::dse {
 namespace {
@@ -156,6 +158,33 @@ TEST(Evaluator, RepeatedCallsReuseThePersistentPool) {
   }
 }
 
+TEST(Evaluator, BackendTakingEntryPointsMatchThePlainOnes) {
+  // evaluate_point and evaluate_points_at keep their EvalBackend
+  // parameter for existing callers. Analytic is its only value, so they
+  // score exactly as evaluate and evaluate_points do.
+  const std::vector<DesignPoint> pts = {
+      bert_point(PsumConfig::baseline_int32()),
+      bert_point(PsumConfig::apsq_int8(2)),
+      bert_point(PsumConfig::apsq_bits(4, 1))};
+  Evaluator plain;
+  const std::string expected =
+      results_csv(plain.evaluate_points(pts)).to_string();
+  std::vector<EvalResult> one_by_one;
+  for (const DesignPoint& p : pts) one_by_one.push_back(plain.evaluate(p));
+  EXPECT_EQ(results_csv(one_by_one).to_string(), expected);
+
+  Evaluator batch;
+  EXPECT_EQ(
+      results_csv(batch.evaluate_points_at(pts, EvalBackend::kAnalytic))
+          .to_string(),
+      expected);
+  Evaluator single;
+  std::vector<EvalResult> oracle;
+  for (const DesignPoint& p : pts)
+    oracle.push_back(single.evaluate_point(p, EvalBackend::kAnalytic));
+  EXPECT_EQ(results_csv(oracle).to_string(), expected);
+}
+
 TEST(Evaluator, LatencyObjectiveMatchesPerformanceModel) {
   Evaluator eval;
   const DesignPoint p = bert_point(PsumConfig::apsq_int8(2));
@@ -166,96 +195,35 @@ TEST(Evaluator, LatencyObjectiveMatchesPerformanceModel) {
   EXPECT_EQ(r.obj.latency_s, perf.total_latency_s);
 }
 
-EvaluatorOptions sim_opt(int threads) {
-  EvaluatorOptions opt;
-  opt.threads = threads;
-  opt.backend = EvalBackend::kSim;
-  opt.sim.shrink = 32;
-  opt.sim.max_dim = 32;
-  return opt;
-}
-
-TEST(Evaluator, SimBackendParallelEqualsSerialByteIdentical) {
-  // The acceptance property behind `apsq_dse --backend sim
-  // --verify-serial`: simulator-backed sweeps stay deterministic across
-  // thread counts.
-  const ConfigSpace space = ConfigSpace::smoke();
-  Evaluator serial(sim_opt(1));
-  const std::string serial_csv =
-      results_csv(serial.evaluate_space(space)).to_string();
-  for (int threads : {2, 4}) {
-    Evaluator parallel(sim_opt(threads));
-    EXPECT_EQ(serial_csv,
-              results_csv(parallel.evaluate_space(space)).to_string())
-        << "threads=" << threads;
-  }
-}
-
-TEST(Evaluator, SimBackendLayerParallelismIsDeterministic) {
-  // Single-threaded evaluator + multi-threaded sim runner (layers run on
-  // the shared pool): scores must match the fully serial configuration
-  // exactly.
-  const ConfigSpace space = ConfigSpace::smoke();
-  Evaluator serial(sim_opt(1));
-  EvaluatorOptions layer_par = sim_opt(1);
-  layer_par.sim.threads = 4;
-  Evaluator parallel(layer_par);
-  EXPECT_EQ(results_csv(serial.evaluate_space(space)).to_string(),
-            results_csv(parallel.evaluate_space(space)).to_string());
-}
-
 TEST(Evaluator, NestedPointAndLayerParallelismMatchesFullySerial) {
-  // The tentpole determinism property: point-level and layer-level
-  // parallelism composed as nested scopes on the process-wide shared pool
-  // must stay byte-identical to the fully serial evaluator.
+  // An evaluator driven from a task of the process-wide shared pool runs
+  // its point loop and its accuracy proxy's per-layer units as nested
+  // scopes on that same pool. Every nesting must stay byte-identical to
+  // the fully serial evaluator.
   const ConfigSpace space = ConfigSpace::smoke();
-  Evaluator serial(sim_opt(1));  // sim.threads defaults to 1 → fully serial
-  const std::string serial_csv =
-      results_csv(serial.evaluate_space(space)).to_string();
-
-  EvaluatorOptions nested = sim_opt(4);
-  nested.sim.threads = 4;
-  Evaluator parallel(nested);
-  EXPECT_EQ(serial_csv, results_csv(parallel.evaluate_space(space)).to_string());
-
-  // And with calibration on: anchor fits race-free and deterministic.
-  EvaluatorOptions cal_serial = sim_opt(1);
-  cal_serial.calibrate = true;
-  EvaluatorOptions cal_nested = sim_opt(4);
-  cal_nested.sim.threads = 4;
-  cal_nested.calibrate = true;
-  Evaluator cs(cal_serial), cn(cal_nested);
-  EXPECT_EQ(results_csv(cs.evaluate_space(space)).to_string(),
-            results_csv(cn.evaluate_space(space)).to_string());
-}
-
-TEST(Evaluator, SimBackendScoresMeasuredObjectives) {
-  Evaluator eval(sim_opt(1));
-  const EvalResult base = eval.evaluate(bert_point(PsumConfig::baseline_int32()));
-  const EvalResult apsq8 = eval.evaluate(bert_point(PsumConfig::apsq_int8(2)));
-  // The paper's headline must also hold on measured traffic.
-  EXPECT_GT(base.obj.energy_pj, 0.0);
-  EXPECT_LT(apsq8.obj.energy_pj, base.obj.energy_pj);
-  EXPECT_GT(apsq8.obj.latency_s, 0.0);
-  // Area and the accuracy proxy are backend-independent.
-  Evaluator analytic;
-  const EvalResult a = analytic.evaluate(bert_point(PsumConfig::apsq_int8(2)));
-  EXPECT_EQ(apsq8.obj.area_um2, a.obj.area_um2);
-  EXPECT_EQ(apsq8.obj.error, a.obj.error);
-  // Sim scores are of the scaled proxy workload — far below full scale.
-  EXPECT_LT(apsq8.obj.energy_pj, a.obj.energy_pj);
-}
-
-TEST(Evaluator, SimBackendHandlesOsApsqPoints) {
-  // OS keeps PSUMs in PE registers; the simulator refuses OS+APSQ, so the
-  // evaluator maps it to the traffic-equivalent INT32 baseline.
-  Evaluator eval(sim_opt(1));
-  DesignPoint p = bert_point(PsumConfig::apsq_int8(2));
-  p.dataflow = Dataflow::kOS;
-  const EvalResult r = eval.evaluate(p);
-  DesignPoint base = p;
-  base.psum = PsumConfig::baseline_int32();
-  EXPECT_EQ(r.obj.energy_pj, eval.evaluate(base).obj.energy_pj);
+  constexpr index_t kOuter = 3;
+  std::vector<std::string> serial(kOuter), nested(kOuter);
+  for (index_t i = 0; i < kOuter; ++i) {
+    EvaluatorOptions opt;
+    opt.threads = 1;
+    opt.seed = 0xD5E + static_cast<u64>(i);
+    Evaluator eval(opt);
+    serial[static_cast<size_t>(i)] =
+        results_csv(eval.evaluate_space(space)).to_string();
+  }
+  WorkStealingPool::shared().parallel_for(kOuter, [&](index_t i) {
+    EvaluatorOptions opt;
+    opt.threads = 4;
+    opt.seed = 0xD5E + static_cast<u64>(i);
+    Evaluator eval(opt);
+    nested[static_cast<size_t>(i)] =
+        results_csv(eval.evaluate_space(space)).to_string();
+  });
+  for (size_t i = 0; i < serial.size(); ++i)
+    EXPECT_EQ(serial[i], nested[i]) << "outer task " << i;
+  // The seeds move the accuracy proxy, so the outer tasks really are
+  // distinct evaluations.
+  EXPECT_NE(serial[0], serial[1]);
 }
 
 TEST(Evaluator, SeedChangesProxyButNotEnergyOrArea) {
@@ -319,51 +287,30 @@ TEST(Evaluator, WorkloadRegistryServesAllFour) {
     EXPECT_FALSE(Evaluator::workload(name).layers.empty()) << name;
 }
 
-TEST(Evaluator, NewObjectivesAreSaneOnBothBackends) {
-  Evaluator analytic;
-  EvaluatorOptions sopt;
-  sopt.backend = EvalBackend::kSim;
-  sopt.sim.shrink = 32;
-  sopt.sim.max_dim = 32;
-  Evaluator sim(sopt);
-  const DesignPoint p = bert_point(PsumConfig::baseline_int32());
-  for (Evaluator* e : {&analytic, &sim}) {
-    const EvalResult r = e->evaluate(p);
-    EXPECT_GT(r.obj.pe_utilization, 0.0) << r.scored_by;
-    EXPECT_LE(r.obj.pe_utilization, 1.0) << r.scored_by;
-    EXPECT_GE(r.obj.dram_bw_headroom, 0.0) << r.scored_by;
-    EXPECT_LE(r.obj.dram_bw_headroom, 1.0) << r.scored_by;
-    EXPECT_GT(r.obj.throughput_per_area, 0.0) << r.scored_by;
-  }
+TEST(Evaluator, NewObjectivesAreSane) {
+  Evaluator eval;
+  const EvalResult r = eval.evaluate(bert_point(PsumConfig::baseline_int32()));
+  EXPECT_EQ(r.scored_by, "analytic");
+  EXPECT_GT(r.obj.pe_utilization, 0.0);
+  EXPECT_LE(r.obj.pe_utilization, 1.0);
+  EXPECT_GE(r.obj.dram_bw_headroom, 0.0);
+  EXPECT_LE(r.obj.dram_bw_headroom, 1.0);
+  EXPECT_GT(r.obj.throughput_per_area, 0.0);
 }
 
 TEST(Evaluator, NewObjectivesMatchTelemetry) {
-  // The scoring hot path computes pe_utilization / dram_bw_headroom with
-  // allocation-free helpers; the dump path rebuilds them from the
-  // telemetry registry. Both derivations must agree exactly, on both
-  // fidelities.
-  Evaluator analytic;
+  // The scoring hot path computes pe_utilization / dram_bw_headroom from
+  // the performance roll-up; the dump path rebuilds them from the
+  // telemetry registry. Both derivations must agree exactly.
+  Evaluator eval;
   const DesignPoint p = bert_point(PsumConfig::apsq_int8(2));
-  const EvalResult a = analytic.evaluate(p);
-  const WorkloadTelemetry at =
-      analytic.telemetry_for(p, EvalBackend::kAnalytic);
+  const EvalResult a = eval.evaluate(p);
+  const WorkloadTelemetry at = eval.telemetry_for(p);
   EXPECT_EQ(at.source, "analytic");
+  EXPECT_EQ(at.workload, "bert");
   EXPECT_EQ(at.roll_up().mean_utilization, a.obj.pe_utilization);
   EXPECT_EQ(std::max(0.0, 1.0 - at.dram_bw_occupancy()),
             a.obj.dram_bw_headroom);
-
-  EvaluatorOptions sopt;
-  sopt.backend = EvalBackend::kSim;
-  sopt.sim.shrink = 32;
-  sopt.sim.max_dim = 32;
-  Evaluator sim(sopt);
-  const EvalResult s = sim.evaluate(p);
-  const WorkloadTelemetry st = sim.telemetry_for(p, EvalBackend::kSim);
-  EXPECT_EQ(st.source, "sim");
-  EXPECT_EQ(st.workload, "bert");
-  EXPECT_EQ(st.roll_up().mean_utilization, s.obj.pe_utilization);
-  EXPECT_EQ(std::max(0.0, 1.0 - st.dram_bw_occupancy()),
-            s.obj.dram_bw_headroom);
 }
 
 TEST(Evaluator, NewObjectiveFrontParallelEqualsSerialByteIdentical) {

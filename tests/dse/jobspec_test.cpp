@@ -70,22 +70,11 @@ TEST(JobSpec, UnnamedExperimentsGetIndexNames) {
 TEST(JobSpec, FieldsMapOntoSweepConfigLikeTheFlags) {
   const JobSpec spec = parse_text(
       "{\"experiments\": [{"
-      " \"backend\": \"mixed\", \"promote_adaptive\": true,"
-      " \"promote_objectives\": \"energy,latency\","
-      " \"calibrate_per_class\": true, \"calibration_csv\": \"cal.csv\","
-      " \"sim_threads\": 2, \"shrink\": 16, \"max_dim\": 32,"
+      " \"backend\": \"analytic\", \"objectives\": \"energy,latency\","
       " \"where\": \"area<=2.5e6\","
       " \"csv\": \"pts.csv\", \"front_csv\": \"front.csv\"}]}");
   const JobExperiment& e = spec.experiments[0];
-  EXPECT_EQ(e.config.backend, EvalBackend::kMixed);
-  EXPECT_TRUE(e.config.promote_adaptive);
-  EXPECT_TRUE(e.config.promote_objectives_set);
-  EXPECT_EQ(e.config.promote_objectives.to_string(), "energy,latency");
-  EXPECT_TRUE(e.config.calibrate_per_class);
-  EXPECT_EQ(e.config.calibration_csv, "cal.csv");
-  EXPECT_EQ(e.config.sim_threads, 2);
-  EXPECT_EQ(e.config.shrink, 16);
-  EXPECT_EQ(e.config.max_dim, 32);
+  EXPECT_EQ(e.config.objectives.to_string(), "energy,latency");
   EXPECT_EQ(e.config.where, "area<=2.5e6");
   EXPECT_EQ(e.csv, "pts.csv");
   EXPECT_EQ(e.front_csv, "front.csv");
@@ -114,16 +103,32 @@ TEST(JobSpec, RejectsWrongTypesAndOutOfRangeValues) {
                      "expected an integer");
   expect_parse_error("{\"experiments\": [{\"seed\": -1}]}",
                      "\"seed\" must be >= 0");
-  expect_parse_error("{\"experiments\": [{\"promote_band\": -0.5}]}",
-                     "\"promote_band\" must be >= 0");
-  expect_parse_error("{\"experiments\": [{\"promote_budget\": 0}]}",
-                     "\"promote_budget\" must be in");
   expect_parse_error("{\"experiments\": [{\"backend\": \"warp\"}]}",
                      "\"backend\"");
   expect_parse_error("{\"experiments\": [{\"objectives\": \"energy,joy\"}]}",
                      "unknown objective");
   expect_parse_error("{\"experiments\": [{\"where\": \"area=1\"}]}",
                      "\"where\"");
+}
+
+TEST(JobSpec, RejectsRemovedBackendsStrategiesAndFields) {
+  // The simulator backends, the halving strategy and their knobs were
+  // removed: a spec naming them fails loudly, naming what was removed,
+  // instead of silently running an analytic sweep.
+  expect_parse_error("{\"experiments\": [{\"backend\": \"sim\"}]}",
+                     "\"backend\": backend sim was removed");
+  expect_parse_error("{\"experiments\": [{\"backend\": \"mixed\"}]}",
+                     "\"backend\": backend mixed was removed");
+  expect_parse_error(
+      "{\"experiments\": [{\"mode\": \"search\", \"strategy\": \"halving\"}]}",
+      "\"strategy\": strategy halving was removed");
+  for (const char* field :
+       {"sim_threads", "shrink", "max_dim", "calibrate", "calibrate_per_class",
+        "calibration_csv", "promote_band", "promote_adaptive",
+        "promote_budget", "promote_objectives"})
+    expect_parse_error(
+        std::string("{\"experiments\": [{\"") + field + "\": 1}]}",
+        std::string("experiment 0: unknown key \"") + field + "\"");
 }
 
 TEST(JobSpec, SearchFieldsMapOntoSweepConfigLikeTheFlags) {
@@ -200,15 +205,14 @@ TEST(JobSpec, RejectsStructuralMistakes) {
 }
 
 TEST(JobSpec, InconsistentConfigsFailValidateWithTheCliMessage) {
-  // The spec parses — promotion flags are per-field legal — but the
-  // merged config violates the same cross-field rule the CLI enforces,
-  // with the identical message.
+  // The spec parses — a budget is per-field legal — but the merged config
+  // violates the same cross-field rule the CLI enforces, with the
+  // identical message.
   const JobSpec spec = parse_text(
-      "{\"experiments\": [{\"backend\": \"analytic\","
-      " \"promote_band\": 0.1}]}");
+      "{\"experiments\": [{\"backend\": \"analytic\", \"budget\": 16}]}");
   std::ostringstream err;
   EXPECT_FALSE(spec.experiments[0].config.validate(err));
-  EXPECT_EQ(err.str(), "--promote-band: requires --backend mixed\n");
+  EXPECT_EQ(err.str(), "--budget: requires --mode search\n");
 }
 
 TEST(JobSpec, ParseFilePrefixesErrorsWithThePath) {
@@ -250,7 +254,7 @@ TEST(JobSpec, BundledExampleSpecsParse) {
     EXPECT_TRUE(e.config.validate(err)) << e.name << ": " << err.str();
   }
   const JobSpec search = JobSpec::parse_file(search_path);
-  EXPECT_EQ(search.experiments.size(), 2u);
+  EXPECT_EQ(search.experiments.size(), 1u);
   for (const JobExperiment& e : search.experiments) {
     EXPECT_EQ(e.config.mode, RunMode::kSearch) << e.name;
     std::ostringstream err;

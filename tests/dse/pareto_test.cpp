@@ -302,326 +302,6 @@ TEST(ParetoFront, NonFiniteObjectivesNeverEnterAFront) {
   EXPECT_TRUE((Objectives{1.0, 2.0, 3.0, 4.0}).all_finite());
 }
 
-TEST(EpsilonDominance, BandZeroReducesToPlainDominance) {
-  Rng rng(99);
-  for (int i = 0; i < 200; ++i) {
-    const Objectives a{rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(0, 4),
-                       rng.uniform(0, 4)};
-    const Objectives b{rng.uniform(0, 4), rng.uniform(0, 4), rng.uniform(0, 4),
-                       rng.uniform(0, 4)};
-    EXPECT_EQ(epsilon_dominates(a, b, 0.0), dominates(a, b));
-  }
-}
-
-TEST(EpsilonDominance, RelativeSlackIsPerObjective) {
-  // b is 4% worse than a everywhere: inside a 5% band (not ε-dominated),
-  // outside a 3% one.
-  const Objectives a{1.0, 1.0, 1.0, 1.0};
-  const Objectives b{1.04, 1.04, 1.04, 1.04};
-  EXPECT_TRUE(dominates(a, b));
-  EXPECT_FALSE(epsilon_dominates(a, b, 0.05));
-  EXPECT_TRUE(epsilon_dominates(a, b, 0.03));
-  // Negative band is malformed.
-  EXPECT_THROW(epsilon_dominates(a, b, -0.1), std::logic_error);
-}
-
-/// Key set of a result list, for set-inclusion checks.
-std::vector<std::string> keys_of(const std::vector<EvalResult>& pts) {
-  std::vector<std::string> keys;
-  for (const auto& p : pts) keys.push_back(canonical_key(p.point));
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-std::vector<EvalResult> random_cloud(u64 seed, int n) {
-  Rng rng(seed);
-  std::vector<EvalResult> pts;
-  for (int i = 0; i < n; ++i) {
-    EvalResult r = make("w" + std::to_string(i % 5), 4 + (i % 13), 1 + (i % 4),
-                        rng.uniform(0, 4), rng.uniform(0, 4),
-                        rng.uniform(0, 4));
-    // A real latency draw keeps the cloud honest: leaving the field at its
-    // 0 default would tie every point on latency, and a tie on any
-    // objective protects a point from ε-domination at positive bands.
-    r.obj.latency_s = rng.uniform(0, 4);
-    pts.push_back(r);
-  }
-  return pts;
-}
-
-TEST(EpsilonBand, BandZeroEqualsTheFront) {
-  const std::vector<EvalResult> pts = random_cloud(0xE9, 80);
-  EXPECT_EQ(keys_of(epsilon_band(pts, 0.0)), keys_of(pareto_front(pts)));
-  const ObjectiveSet el = ObjectiveSet::parse("energy,latency");
-  EXPECT_EQ(keys_of(epsilon_band(pts, 0.0, el)),
-            keys_of(pareto_front(pts, el)));
-}
-
-TEST(EpsilonBand, GrowsMonotonicallyWithBandAndContainsTheFront) {
-  const std::vector<EvalResult> pts = random_cloud(0xBAD, 120);
-  const std::vector<std::string> front_keys = keys_of(pareto_front(pts));
-  std::vector<std::string> prev;
-  for (const double band : {0.0, 0.02, 0.05, 0.1, 0.5, 2.0}) {
-    const std::vector<std::string> cur = keys_of(epsilon_band(pts, band));
-    EXPECT_TRUE(std::includes(cur.begin(), cur.end(), front_keys.begin(),
-                              front_keys.end()))
-        << "band " << band << " lost a front member";
-    if (!prev.empty()) {
-      EXPECT_TRUE(std::includes(cur.begin(), cur.end(), prev.begin(),
-                                prev.end()))
-          << "band " << band << " is not a superset of the previous band";
-    }
-    prev = cur;
-  }
-}
-
-TEST(EpsilonBand, InfiniteBandKeepsEveryPoint) {
-  const std::vector<EvalResult> pts = random_cloud(7, 40);
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(epsilon_band(pts, inf).size(), pts.size());  // all keys distinct
-  // ... including points whose objectives contain exact zeros (0 · ∞
-  // must not poison the comparison).
-  std::vector<EvalResult> with_zero = pts;
-  with_zero.push_back(make("z", 4, 1, 0.0, 0.0, 0.0));
-  EXPECT_EQ(epsilon_band(with_zero, inf).size(), with_zero.size());
-}
-
-TEST(EpsilonBand, TiesOnEqualObjectivesAllKept) {
-  // Identical objectives, different configs: neither ε-dominates the
-  // other at any band (no strict win), so both stay — at band 0 and up.
-  // Latencies are set explicitly: an exact tie on ANY objective —
-  // including one whose value is 0 — protects a point from ε-domination
-  // at every positive band (the relative slack inflates the dominator
-  // past the tie), so a strictly-dominated point must be strictly worse
-  // everywhere to be excluded.
-  std::vector<EvalResult> pts = {
-      make("w", 4, 1, 1.0, 2.0, 3.0),
-      make("w", 8, 2, 1.0, 2.0, 3.0),
-      make("w", 8, 4, 2.0, 3.0, 4.0),  // strictly dominated, outside 5%
-  };
-  pts[0].obj.latency_s = 3.0;
-  pts[1].obj.latency_s = 3.0;
-  pts[2].obj.latency_s = 4.0;
-  for (const double band : {0.0, 0.05}) {
-    const std::vector<EvalResult> b = epsilon_band(pts, band);
-    ASSERT_EQ(b.size(), 2u) << "band " << band;
-    EXPECT_EQ(b[0].point.psum.group_size, 1);
-    EXPECT_EQ(b[1].point.psum.group_size, 2);
-  }
-  // A wide enough band pulls the dominated point back in (its smallest
-  // relative gap to the front is 1/3, on error and latency, so band 1.0
-  // comfortably reaches it).
-  EXPECT_EQ(epsilon_band(pts, 1.0).size(), 3u);
-  // Exact duplicate configurations still collapse to one entry.
-  std::vector<EvalResult> dup = {make("w", 4, 1, 1.0, 2.0, 3.0),
-                                 make("w", 4, 1, 1.0, 2.0, 3.0)};
-  EXPECT_EQ(epsilon_band(dup, 0.05).size(), 1u);
-}
-
-TEST(EpsilonBand, MembershipMatchesBruteForceDefinition) {
-  // A point is in the band iff no *other* point ε-dominates it. The
-  // implementation only scans front members; cross-check the definition.
-  const std::vector<EvalResult> pts = random_cloud(0xF00D, 90);
-  for (const double band : {0.02, 0.1}) {
-    const std::vector<std::string> got = keys_of(epsilon_band(pts, band));
-    std::vector<std::string> expected;
-    for (const auto& p : pts) {
-      bool dominated = false;
-      for (const auto& q : pts)
-        if (canonical_key(q.point) != canonical_key(p.point) &&
-            epsilon_dominates(q.obj, p.obj, band)) {
-          dominated = true;
-          break;
-        }
-      if (!dominated) expected.push_back(canonical_key(p.point));
-    }
-    std::sort(expected.begin(), expected.end());
-    EXPECT_EQ(got, expected) << "band " << band;
-  }
-}
-
-TEST(EpsilonBand, RejectsNegativeObjectivesAndNegativeBand) {
-  const std::vector<EvalResult> ok = {make("w", 4, 1, 1.0, 1.0, 1.0)};
-  EXPECT_THROW(epsilon_band(ok, -0.05), std::logic_error);
-  const std::vector<EvalResult> neg = {make("w", 4, 1, -1.0, 1.0, 1.0)};
-  EXPECT_THROW(epsilon_band(neg, 0.05), std::logic_error);
-  // A negative value on an *inactive* objective is fine.
-  EXPECT_EQ(epsilon_band(neg, 0.05, ObjectiveSet::parse("area,error")).size(),
-            1u);
-}
-
-TEST(EpsilonBandByWorkload, GroupsLikeParetoFrontByWorkload) {
-  // b's only point is far outside a's band but owns its own workload
-  // group, so the per-workload band keeps it. (Latencies are set
-  // explicitly: a latency tie — even at 0 — would protect the far-outside
-  // point from ε-domination.)
-  std::vector<EvalResult> pts = {
-      make("a", 8, 1, 1.0, 1.0, 1.0),
-      make("a", 4, 1, 1.02, 1.02, 1.02),  // inside a 5% band of the front
-      make("a", 6, 1, 9.0, 9.0, 9.0),     // far outside
-      make("b", 8, 1, 50.0, 50.0, 50.0),
-  };
-  pts[0].obj.latency_s = 1.0;
-  pts[1].obj.latency_s = 1.02;
-  pts[2].obj.latency_s = 9.0;
-  pts[3].obj.latency_s = 50.0;
-  const std::vector<EvalResult> band = epsilon_band_by_workload(pts, 0.05);
-  ASSERT_EQ(band.size(), 3u);
-  EXPECT_EQ(band[0].point.workload, "a");
-  EXPECT_EQ(band[1].point.workload, "a");
-  EXPECT_EQ(band[2].point.workload, "b");
-}
-
-TEST(EpsilonDominance, AbsoluteFloorWidensZeroValuedObjectives) {
-  // Regression for the zero-width-band degenerate: a purely relative
-  // slack (abs_floor = 0) around an objective whose value is exactly 0
-  // forgives nothing — a candidate worse by any δ > 0 there is
-  // ε-dominated at every finite band. The floor converts band ε into an
-  // absolute allowance of ε · floor at value 0.
-  const ObjectiveSet err = ObjectiveSet::parse("error");
-  const Objectives f{1.0, 1.0, 0.0, 1.0};
-  const Objectives tie{1.0, 1.0, 1e-14, 1.0};   // numerical-noise tie
-  const Objectives worse{1.0, 1.0, 1e-6, 1.0};  // genuinely worse
-  EXPECT_TRUE(epsilon_dominates(f, tie, 0.05, err, /*abs_floor=*/0.0));
-  EXPECT_FALSE(epsilon_dominates(f, tie, 0.05, err));  // 1e-14 < 0.05·1e-12
-  EXPECT_TRUE(epsilon_dominates(f, worse, 0.05, err));
-  // band = 0 stays exact dominance regardless of the floor.
-  EXPECT_TRUE(epsilon_dominates(f, tie, 0.0, err));
-  EXPECT_THROW(epsilon_dominates(f, tie, 0.05, err, -1.0), std::logic_error);
-}
-
-TEST(EpsilonBand, AbsoluteFloorPromotesTiesAtZeroObjectives) {
-  // The epsilon_band view of the same regression: the exact-zero front
-  // member silently never let near-ties through at abs_floor = 0.
-  const ObjectiveSet err = ObjectiveSet::parse("error");
-  const std::vector<EvalResult> pts = {
-      make("w", 4, 1, 1.0, 1.0, 0.0),    // front: exact-zero error
-      make("w", 8, 1, 1.0, 1.0, 1e-14),  // tie at numerical-noise scale
-      make("w", 6, 1, 1.0, 1.0, 1e-6),   // genuinely worse
-  };
-  // Old behaviour: the tie is never promoted, at any finite band.
-  EXPECT_EQ(epsilon_band(pts, 0.05, err, /*abs_floor=*/0.0).size(), 1u);
-  EXPECT_EQ(epsilon_band(pts, 1e6, err, /*abs_floor=*/0.0).size(), 1u);
-  // The default floor forgives band · floor = 5e-14 of absolute gap: the
-  // 1e-14 tie is promoted, the 1e-6 point still is not.
-  const std::vector<EvalResult> band = epsilon_band(pts, 0.05, err);
-  ASSERT_EQ(band.size(), 2u);
-  EXPECT_EQ(band[0].point.psum.psum_bits, 4);
-  EXPECT_EQ(band[1].point.psum.psum_bits, 8);
-  // band = ∞ keeps everything, floor or no floor.
-  const double inf = std::numeric_limits<double>::infinity();
-  EXPECT_EQ(epsilon_band(pts, inf, err, 0.0).size(), 3u);
-  EXPECT_EQ(epsilon_band(pts, inf, err).size(), 3u);
-}
-
-TEST(PromotionMargins, ZeroFloorTieAtZeroObjectiveIsVacuousNotShielding) {
-  // With abs_floor = 0, an exact tie at a zero-valued objective is a
-  // vacuous ε-dominance constraint — 0·(1+b) ≤ 0 holds at every band and
-  // is never strict — so it must neither shield a candidate that is
-  // strictly worse elsewhere nor count as a strict win. epsilon_band and
-  // epsilon_dominates have to agree on this.
-  const ObjectiveSet ee = ObjectiveSet::parse("energy,error");
-  const std::vector<EvalResult> pts = {
-      make("w", 4, 1, 1.0, 9, 0.0),
-      make("w", 8, 1, 2.0, 9, 0.0),  // 100% worse energy, tied at error 0
-  };
-  EXPECT_TRUE(epsilon_dominates(pts[0].obj, pts[1].obj, 0.5, ee, 0.0));
-  EXPECT_EQ(epsilon_band(pts, 0.5, ee, /*abs_floor=*/0.0).size(), 1u);
-  // The candidate enters exactly when the energy slack runs out of
-  // strictness: at band 1.0, 1·(1+1) == 2 ties and nothing is strict.
-  const std::vector<PromotionMargin> margins =
-      promotion_margins(pts, ee, /*abs_floor=*/0.0);
-  ASSERT_EQ(margins.size(), 2u);
-  EXPECT_EQ(margins[1].enter_band, 1.0);
-  EXPECT_TRUE(margins[1].enter_inclusive);
-  EXPECT_FALSE(epsilon_dominates(pts[0].obj, pts[1].obj, 1.0, ee, 0.0));
-  EXPECT_EQ(epsilon_band(pts, 1.0, ee, /*abs_floor=*/0.0).size(), 2u);
-  // With the default floor the zero tie blocks dominance instead (the
-  // floor inflates 0 past it), consistent with ties at positive values.
-  EXPECT_EQ(epsilon_band(pts, 0.5, ee).size(), 2u);
-}
-
-TEST(PromotionMargins, FrontEntersAtZeroAndThresholdsMatchTheBand) {
-  const std::vector<EvalResult> pts = random_cloud(0xCAFE, 60);
-  const std::vector<PromotionMargin> margins = promotion_margins(pts);
-  ASSERT_EQ(margins.size(), pts.size());  // all keys distinct
-  const std::vector<std::string> front_keys = keys_of(pareto_front(pts));
-  for (size_t i = 0; i < margins.size(); ++i) {
-    const std::string key = canonical_key(margins[i].result.point);
-    if (i > 0) {  // key-ordered, like pareto_front
-      EXPECT_LT(canonical_key(margins[i - 1].result.point), key);
-    }
-    // A point enters at 0 inclusively iff it is a front member.
-    const bool in_front = std::binary_search(front_keys.begin(),
-                                             front_keys.end(), key);
-    EXPECT_EQ(in_front,
-              margins[i].enter_band == 0.0 && margins[i].enter_inclusive)
-        << key;
-    // The threshold is exact: membership at enter_band itself follows
-    // enter_inclusive, and any wider band contains the point.
-    const std::vector<std::string> at =
-        keys_of(epsilon_band(pts, margins[i].enter_band));
-    EXPECT_EQ(std::binary_search(at.begin(), at.end(), key),
-              margins[i].enter_inclusive)
-        << key;
-    const std::vector<std::string> above =
-        keys_of(epsilon_band(pts, margins[i].enter_band * 1.5 + 1e-9));
-    EXPECT_TRUE(std::binary_search(above.begin(), above.end(), key)) << key;
-  }
-}
-
-TEST(BestByMargin, RanksByMarginWithStableKeyTieBreakAtTheBoundary) {
-  // One workload, one active objective — a margin ladder with an exact
-  // tie at +4%. The budget boundary must slice the tie deterministically
-  // by canonical key.
-  const ObjectiveSet e = ObjectiveSet::parse("energy");
-  const std::vector<EvalResult> pts = {
-      make("w", 4, 1, 1.0, 9, 9),   // front
-      make("w", 4, 2, 1.02, 9, 9),  // margin ≈ 0.02
-      make("w", 4, 3, 1.04, 9, 9),  // margin ≈ 0.04, key-smaller twin
-      make("w", 4, 4, 1.04, 9, 9),  // margin ≈ 0.04, key-larger twin
-      make("w", 6, 1, 1.10, 9, 9),  // margin ≈ 0.10
-  };
-  EXPECT_TRUE(best_by_margin(pts, 0, e).empty());
-  for (index_t n = 1; n <= 5; ++n) {
-    const std::vector<EvalResult> best = best_by_margin(pts, n, e);
-    ASSERT_EQ(best.size(), static_cast<size_t>(n)) << "n=" << n;
-    // Output is in rank order: margin ascending, canonical key breaking
-    // the +4% tie — i.e. exactly the input order above.
-    for (index_t i = 0; i < n; ++i)
-      EXPECT_EQ(canonical_key(best[static_cast<size_t>(i)].point),
-                canonical_key(pts[static_cast<size_t>(i)].point))
-          << "n=" << n << " i=" << i;
-  }
-  // A budget at or past the candidate count returns everything — the
-  // budget analogue of band = ∞.
-  EXPECT_EQ(best_by_margin(pts, 5, e).size(), 5u);
-  EXPECT_EQ(best_by_margin(pts, 1 << 20, e).size(), 5u);
-  EXPECT_EQ(keys_of(best_by_margin(pts, 1 << 20, e)),
-            keys_of(epsilon_band(pts, std::numeric_limits<double>::infinity(),
-                                 e)));
-}
-
-TEST(BestByMargin, MarginsArePerWorkloadButTheBudgetIsGlobal) {
-  // Each workload's own front ranks at margin 0, so the fronts of every
-  // scenario fill the budget before any near-front shell does.
-  const ObjectiveSet e = ObjectiveSet::parse("energy");
-  const std::vector<EvalResult> pts = {
-      make("a", 4, 1, 100.0, 9, 9),  // a's front (worse than every b point)
-      make("a", 4, 2, 150.0, 9, 9),  // a's shell, margin 0.5
-      make("b", 4, 1, 1.0, 9, 9),    // b's front
-      make("b", 4, 2, 1.01, 9, 9),   // b's shell, margin 0.01
-  };
-  const std::vector<EvalResult> two = best_by_margin(pts, 2, e);
-  ASSERT_EQ(two.size(), 2u);
-  EXPECT_EQ(two[0].point.workload, "a");  // both fronts, key order
-  EXPECT_EQ(two[1].point.workload, "b");
-  const std::vector<EvalResult> three = best_by_margin(pts, 3, e);
-  ASSERT_EQ(three.size(), 3u);
-  EXPECT_EQ(three[2].point.workload, "b");  // b's shell outranks a's
-  EXPECT_EQ(three[2].point.psum.group_size, 2);
-}
-
 TEST(ParetoFront, SweepPrefilterMatchesBruteForceScan) {
   // The sort-based sweep must emit the byte-identical front the full
   // O(n²) scan would. Brute force re-derived here from dominates().

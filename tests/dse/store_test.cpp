@@ -17,6 +17,7 @@
 #include <stdexcept>
 #include <thread>
 
+#include "dse/legacy_snapshots.hpp"
 #include "dse/report.hpp"
 #include "dse/sweep.hpp"
 
@@ -279,30 +280,86 @@ TEST(EvalStore, ResliceEquivalenceAnalytic) {
                              "energy,latency,pe_utilization");
 }
 
-TEST(EvalStore, ResliceEquivalenceSimCalibrated) {
-  SweepConfig base;
-  base.space = "smoke";
-  base.threads = 1;
-  base.backend = EvalBackend::kSim;
-  base.calibrate = true;
-  base.max_dim = 32;
-  expect_reslice_equivalence(base, "simcal", "energy,latency");
+TEST(EvalStore, LegacyAnalyticSnapshotAnswersWarm) {
+  const std::string path = temp_path("legacy_smoke.json");
+  write_file(path, kLegacySmokeSnapshot);
+  SweepConfig warm;
+  warm.space = "smoke";
+  warm.threads = 1;
+  warm.store_in = path;
+  SweepSession warm_session(warm);
+  const SweepOutcome warm_out = warm_session.run();
+  EXPECT_EQ(warm_out.fresh_evaluations, 0);
+  EXPECT_EQ(warm_out.store_hits, 8);
+
+  SweepConfig fresh = warm;
+  fresh.store_in.clear();
+  const SweepOutcome fresh_out = SweepSession(fresh).run();
+  EXPECT_EQ(results_csv(warm_out.results, "analytic").to_string(),
+            results_csv(fresh_out.results, "analytic").to_string());
+  EXPECT_EQ(results_csv(warm_out.front, "analytic").to_string(),
+            results_csv(fresh_out.front, "analytic").to_string());
+  // Today's writer reproduces the legacy bytes.
+  EvalStore reloaded;
+  reloaded.load_file(path);
+  EXPECT_EQ(reloaded.to_json(), kLegacySmokeSnapshot);
+  std::remove(path.c_str());
 }
 
-TEST(EvalStore, ResliceEquivalenceMixedAdaptive) {
-  SweepConfig base;
-  base.space = "smoke";
-  base.threads = 1;
-  base.backend = EvalBackend::kMixed;
-  base.promote_adaptive = true;
-  base.max_dim = 32;
-  // Pin the promotion plane: the scoring identity (which points were
-  // promoted, and to which values) must not move when the slicing
-  // objectives do — that is exactly what keeps a stored mixed sweep
-  // re-sliceable.
-  base.promote_objectives = ObjectiveSet::core();
-  base.promote_objectives_set = true;
-  expect_reslice_equivalence(base, "mixed_adaptive", "energy,latency");
+TEST(EvalStore, LegacySearchSnapshotAnswersWarm) {
+  const std::string path = temp_path("legacy_smoke_search.json");
+  write_file(path, kLegacySmokeSearchSnapshot);
+  SweepConfig warm;
+  warm.space = "smoke";
+  warm.mode = RunMode::kSearch;
+  warm.budget = 4;
+  warm.budget_set = true;
+  warm.search_seed = 5;
+  warm.search_seed_set = true;
+  warm.threads = 1;
+  warm.store_in = path;
+  const SweepOutcome warm_out = SweepSession(warm).run();
+  EXPECT_EQ(warm_out.fresh_evaluations, 0);
+  EXPECT_EQ(warm_out.store_hits, 4);
+  ASSERT_EQ(warm_out.results.size(), 4u);
+
+  SweepConfig fresh = warm;
+  fresh.store_in.clear();
+  const SweepOutcome fresh_out = SweepSession(fresh).run();
+  EXPECT_EQ(fresh_out.fresh_evaluations, 4);
+  EXPECT_EQ(results_csv(warm_out.results, "analytic").to_string(),
+            results_csv(fresh_out.results, "analytic").to_string());
+  EXPECT_EQ(results_csv(warm_out.front, "analytic").to_string(),
+            results_csv(fresh_out.front, "analytic").to_string());
+  EvalStore reloaded;
+  reloaded.load_file(path);
+  EXPECT_EQ(reloaded.to_json(), kLegacySmokeSearchSnapshot);
+  std::remove(path.c_str());
+}
+
+TEST(EvalStore, LoadRejectsSnapshotsOfRemovedBackends) {
+  // A snapshot holding any entry scored by a removed backend is rejected
+  // whole, naming the backend — even when an analytic entry precedes it.
+  const std::string legacy = kLegacySmokeSnapshot;
+  const std::string entry_head = "    {\"space_hash\"";
+  const size_t first = legacy.find(entry_head);
+  const size_t tail = legacy.rfind("\n  ]\n}");
+  ASSERT_NE(first, std::string::npos);
+  ASSERT_NE(tail, std::string::npos);
+  const std::string analytic_entry = legacy.substr(first, tail - first);
+  const std::string path = temp_path("removed_backend.json");
+  for (const char* label : {"sim", "sim+cal", "mixed"}) {
+    std::string other = analytic_entry;
+    const std::string from = "\"backend\": \"analytic\"";
+    other.replace(other.find(from), from.size(),
+                  std::string("\"backend\": \"") + label + "\"");
+    other.replace(other.find("seed=3422"), 9, "seed=7");
+    write_file(path, legacy.substr(0, first) + analytic_entry + ",\n" + other +
+                         legacy.substr(tail));
+    expect_load_error(path, std::string("entry 1: backend \"") + label +
+                                "\" was removed");
+  }
+  std::remove(path.c_str());
 }
 
 TEST(EvalStore, PartialSnapshotBatchesOnlyTheMisses) {

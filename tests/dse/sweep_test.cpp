@@ -36,62 +36,17 @@ TEST(SweepConfig, ValidateMessagesMatchTheCliFlagRules) {
   c.space = "nope";
   EXPECT_EQ(validate_message(c), "unknown space: nope (try --help)\n");
 
-  c = SweepConfig{};
-  c.calibrate = true;
-  EXPECT_EQ(validate_message(c),
-            "--calibrate: requires --backend sim or mixed\n");
-
-  c = SweepConfig{};
-  c.promote_band_set = true;
-  EXPECT_EQ(validate_message(c),
-            "--promote-band: requires --backend mixed\n");
-
-  c = SweepConfig{};
-  c.promote_adaptive = true;
-  EXPECT_EQ(validate_message(c),
-            "--promote-adaptive: requires --backend mixed\n");
-
-  c = SweepConfig{};
-  c.promote_budget = 4;
-  c.promote_budget_set = true;
-  EXPECT_EQ(validate_message(c),
-            "--promote-budget: requires --backend mixed\n");
-
-  c = SweepConfig{};
-  c.promote_objectives_set = true;
-  EXPECT_EQ(validate_message(c),
-            "--promote-objectives: requires --backend mixed\n");
-
-  c = SweepConfig{};
-  c.backend = EvalBackend::kMixed;
-  c.promote_band_set = true;
-  c.promote_adaptive = true;
-  EXPECT_EQ(validate_message(c),
-            "--promote-band and --promote-adaptive are mutually exclusive\n");
-
-  c = SweepConfig{};
-  c.backend = EvalBackend::kMixed;
-  c.promote_adaptive = true;
-  c.promote_budget = 4;
-  c.promote_budget_set = true;
-  EXPECT_EQ(
-      validate_message(c),
-      "--promote-adaptive and --promote-budget are mutually exclusive\n");
-
-  c = SweepConfig{};
-  c.calibration_csv = "cal.csv";
-  EXPECT_EQ(validate_message(c),
-            "--calibration-csv: requires --calibrate or --backend mixed\n");
-
-  c = SweepConfig{};
-  c.calibrate_per_class = true;
-  EXPECT_EQ(validate_message(c),
-            "--calibrate-per-class: requires --calibrate or --backend mixed\n");
+  // The space check runs before anything that would build the space.
+  c.mode = RunMode::kSearch;
+  c.budget = 8;
+  c.budget_set = true;
+  EXPECT_EQ(validate_message(c), "unknown space: nope (try --help)\n");
 }
 
 TEST(SweepConfig, SessionConstructorEnforcesValidation) {
   SweepConfig c;
-  c.calibrate = true;  // analytic backend: inconsistent
+  c.budget = 8;  // a budget outside search mode: inconsistent
+  c.budget_set = true;
   EXPECT_THROW(SweepSession{c}, std::invalid_argument);
 }
 
@@ -107,42 +62,12 @@ TEST(SweepConfig, ScoringKeyIgnoresThreadsSlicingAndOutputs) {
 
 TEST(SweepConfig, ScoringKeySeparatesValueChangingKnobs) {
   const SweepConfig base;
+  // The literal is what existing snapshots are keyed by: changing it
+  // would cold-start every store.
+  EXPECT_EQ(base.scoring_key(), "backend=analytic|seed=3422");
   SweepConfig c = base;
   c.seed = 1;
   EXPECT_NE(c.scoring_key(), base.scoring_key());
-  c = base;
-  c.backend = EvalBackend::kSim;
-  EXPECT_NE(c.scoring_key(), base.scoring_key());
-  // Sim scaling is irrelevant to the analytic backend but part of the sim
-  // identity.
-  SweepConfig an = base;
-  an.shrink = 16;
-  EXPECT_EQ(an.scoring_key(), base.scoring_key());
-  SweepConfig sim = base;
-  sim.backend = EvalBackend::kSim;
-  SweepConfig sim2 = sim;
-  sim2.shrink = 16;
-  EXPECT_NE(sim2.scoring_key(), sim.scoring_key());
-  // The promotion rule and plane are part of the mixed identity only.
-  SweepConfig mx = base;
-  mx.backend = EvalBackend::kMixed;
-  SweepConfig mx2 = mx;
-  mx2.promote_band = 0.2;
-  mx2.promote_band_set = true;
-  EXPECT_NE(mx2.scoring_key(), mx.scoring_key());
-  SweepConfig mx3 = mx;
-  mx3.promote_objectives = ObjectiveSet::parse("energy,latency");
-  mx3.promote_objectives_set = true;
-  EXPECT_NE(mx3.scoring_key(), mx.scoring_key());
-}
-
-TEST(SweepConfig, EffectivePromoteObjectivesFollowObjectivesUnlessPinned) {
-  SweepConfig c;
-  c.objectives = ObjectiveSet::parse("energy,latency");
-  EXPECT_EQ(c.effective_promote_objectives().to_string(), "energy,latency");
-  c.promote_objectives = ObjectiveSet::parse("energy,area");
-  c.promote_objectives_set = true;
-  EXPECT_EQ(c.effective_promote_objectives().to_string(), "energy,area");
 }
 
 TEST(Constraints, ParseAcceptsBothSensesAndLists) {
@@ -209,20 +134,9 @@ TEST(SweepConfig, SearchValidateRulesMatchTheCliFlagRules) {
   c.mode = RunMode::kSearch;
   c.budget = 8;
   c.budget_set = true;
-  c.strategy = SearchStrategy::kHalving;
   c.strategy_set = true;
-  EXPECT_EQ(validate_message(c),
-            "--strategy halving: requires --backend mixed\n");
-
-  c = SweepConfig{};
-  c.mode = RunMode::kSearch;
-  c.budget = 8;
-  c.budget_set = true;
-  c.backend = EvalBackend::kMixed;
-  c.strategy = SearchStrategy::kEvolve;
-  c.strategy_set = true;
-  EXPECT_EQ(validate_message(c),
-            "--strategy evolve: requires --backend analytic or sim\n");
+  std::ostringstream err;
+  EXPECT_TRUE(c.validate(err)) << err.str();
 }
 
 TEST(SweepConfig, FineSpaceRequiresSearchMode) {
@@ -247,7 +161,11 @@ TEST(SweepConfig, ScoringKeySeparatesSearchKnobs) {
   search.budget = 8;
   search.budget_set = true;
   // A search answer set is not a sweep answer set, and every search knob
-  // changes which points exist in it.
+  // changes which points exist in it. The literal keys existing search
+  // snapshots.
+  EXPECT_EQ(search.scoring_key(),
+            "backend=analytic|seed=3422|mode=search|strategy=evolve|budget=8"
+            "|sseed=1|plane=energy,area,error,latency");
   EXPECT_NE(sweep.scoring_key(), search.scoring_key());
   SweepConfig seed2 = search;
   seed2.search_seed = 2;
@@ -256,11 +174,34 @@ TEST(SweepConfig, ScoringKeySeparatesSearchKnobs) {
   SweepConfig budget9 = search;
   budget9.budget = 9;
   EXPECT_NE(search.scoring_key(), budget9.scoring_key());
+  SweepConfig plane = search;
+  plane.objectives = ObjectiveSet::parse("energy,latency");
+  EXPECT_NE(search.scoring_key(), plane.scoring_key());
   // Thread count stays value-irrelevant in search mode too — that is the
   // determinism contract.
   SweepConfig threads = search;
   threads.threads = 7;
   EXPECT_EQ(search.scoring_key(), threads.scoring_key());
+}
+
+TEST(SweepConfig, SearchPlaneIsTheObjectiveSet) {
+  // A search ranks its candidates in the plane of the objectives asked
+  // for, and names that plane in its scoring key with the literal existing
+  // search snapshots carry. A sweep has no plane: its objectives only
+  // slice the answer set.
+  SweepConfig search;
+  search.space = "smoke";
+  search.mode = RunMode::kSearch;
+  search.budget = 4;
+  search.budget_set = true;
+  search.objectives = ObjectiveSet::parse("energy,latency,pe_utilization");
+  EXPECT_EQ(search.scoring_key(),
+            "backend=analytic|seed=3422|mode=search|strategy=evolve|budget=4"
+            "|sseed=1|plane=energy,latency,pe_utilization");
+  SweepConfig sweep;
+  sweep.space = "smoke";
+  sweep.objectives = search.objectives;
+  EXPECT_EQ(sweep.scoring_key(), "backend=analytic|seed=3422");
 }
 
 TEST(Constraints, FilterKeepsExactlyTheSatisfyingResults) {

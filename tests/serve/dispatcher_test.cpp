@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "dse/legacy_snapshots.hpp"
 #include "dse/report.hpp"
 #include "dse/store.hpp"
 #include "dse/sweep.hpp"
@@ -62,6 +63,40 @@ TEST(Dispatcher, WarmQueryMatchesSweepSessionWithZeroFreshEvaluations) {
   EXPECT_EQ(qr.front_csv,
             dse::results_csv(out.front, req.config.scored_by_label())
                 .to_string());
+}
+
+TEST(Dispatcher, LegacySnapshotsAnswerWarm) {
+  // Snapshots written before the simulator backends were removed serve
+  // their sweep and their budgeted search from the store, with the front
+  // a batch SweepSession computes from scratch.
+  dse::EvalStore store;
+  const std::string path =
+      ::testing::TempDir() + "apsq_dispatcher_test_legacy.json";
+  for (const char* snapshot :
+       {dse::kLegacySmokeSnapshot, dse::kLegacySmokeSearchSnapshot}) {
+    std::ofstream(path, std::ios::binary) << snapshot;
+    store.load_file(path);
+  }
+  std::remove(path.c_str());
+  Dispatcher d(store);
+
+  const dse::RequestSpec sweep = smoke_request();
+  const QueryResult qs = d.query(sweep);
+  EXPECT_EQ(qs.stats.fresh_evaluations, 0);
+  EXPECT_EQ(qs.stats.store_hits, 8);
+  EXPECT_EQ(qs.front_csv, serial_front_csv(sweep.config));
+
+  dse::RequestSpec search = smoke_request();
+  search.config.mode = dse::RunMode::kSearch;
+  search.config.budget = 4;
+  search.config.budget_set = true;
+  search.config.search_seed = 5;
+  search.config.search_seed_set = true;
+  const QueryResult qr = d.query(search);
+  EXPECT_EQ(qr.stats.fresh_evaluations, 0);
+  EXPECT_EQ(qr.stats.store_hits, 4);
+  EXPECT_EQ(qr.front_csv, serial_front_csv(search.config));
+  EXPECT_EQ(d.total_fresh_evaluations(), 0);
 }
 
 TEST(Dispatcher, WarmPaperSpaceQueryMatchesBatchSweepSession) {
@@ -286,15 +321,14 @@ TEST(Dispatcher, RejectsInvalidConfigsWithTheCliMessage) {
               std::string::npos)
         << e.what();
   }
-  dse::RequestSpec bad_promote = smoke_request();
-  bad_promote.config.promote_band = 0.1;
-  bad_promote.config.promote_band_set = true;
+  dse::RequestSpec bad_budget = smoke_request();
+  bad_budget.config.budget = 16;
+  bad_budget.config.budget_set = true;
   try {
-    d.query(bad_promote);
+    d.query(bad_budget);
     FAIL() << "expected an inconsistent config to throw";
   } catch (const std::invalid_argument& e) {
-    EXPECT_EQ(std::string(e.what()),
-              "--promote-band: requires --backend mixed\n");
+    EXPECT_EQ(std::string(e.what()), "--budget: requires --mode search\n");
   }
   // Rejected requests never count as served.
   EXPECT_EQ(d.total_requests(), 0);

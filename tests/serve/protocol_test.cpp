@@ -148,6 +148,42 @@ TEST(Protocol, RejectsMalformedRequestsWithoutThrowing) {
   EXPECT_EQ(d.total_requests(), 0);
 }
 
+TEST(Protocol, RejectsRemovedBackendsStrategiesAndFields) {
+  // The simulator backends, the halving strategy and their knobs were
+  // removed: a request naming them is answered ok:false naming what was
+  // removed, never with an analytic front it did not ask for.
+  dse::EvalStore store;
+  Dispatcher d(store);
+  const auto expect_error = [&](const std::string& line,
+                                const std::string& fragment) {
+    const LineResult r = handle_request_line(d, line);
+    EXPECT_FALSE(r.ok) << line;
+    EXPECT_NE(parsed_response(r).get("error").as_string().find(fragment),
+              std::string::npos)
+        << r.response;
+  };
+  expect_error("{\"space\": \"smoke\", \"backend\": \"sim\"}",
+               "\"backend\": backend sim was removed");
+  expect_error("{\"space\": \"smoke\", \"backend\": \"mixed\"}",
+               "\"backend\": backend mixed was removed");
+  expect_error(
+      "{\"space\": \"smoke\", \"mode\": \"search\", \"budget\": 4,"
+      " \"strategy\": \"halving\"}",
+      "\"strategy\": strategy halving was removed");
+  for (const char* field :
+       {"sim_threads", "shrink", "max_dim", "calibrate", "calibrate_per_class",
+        "calibration_csv", "promote_band", "promote_adaptive",
+        "promote_budget", "promote_objectives"})
+    expect_error(std::string("{\"space\": \"smoke\", \"") + field + "\": 1}",
+                 std::string("unknown key \"") + field + "\"");
+  EXPECT_EQ(d.total_requests(), 0);
+  // The accepted spellings still answer.
+  EXPECT_TRUE(handle_request_line(
+                  d, "{\"space\": \"smoke\", \"threads\": 1,"
+                     " \"backend\": \"analytic\"}")
+                  .ok);
+}
+
 TEST(Protocol, ServeStreamAnswersEachLineAndStopsAtShutdown) {
   dse::EvalStore store;
   Dispatcher d(store);
