@@ -298,10 +298,8 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
   }
   if (ro.stats) {
     std::cout << "cache hits/misses[/races] — ";
-    print_cache_line("energy", eval.energy_cache_stats(), false);
     print_cache_line("area", eval.area_cache_stats(), false);
-    print_cache_line("accuracy", eval.accuracy_cache_stats(), false);
-    print_cache_line("latency", eval.latency_cache_stats(), true);
+    print_cache_line("accuracy", eval.accuracy_cache_stats(), true);
     const WorkStealingPool& pool = WorkStealingPool::shared();
     std::cout << "pool: " << pool.num_threads() << " threads, "
               << pool.run_count() << " runs, " << pool.steal_count()

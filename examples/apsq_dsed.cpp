@@ -3,9 +3,9 @@
 //
 // Loads an EvalStore snapshot once, then answers front queries forever —
 // each query is a RequestSpec (the same validated object a CLI
-// invocation or a --jobs experiment builds), answered from the store
-// when warm and by ONE coalesced evaluate_points batch when cold, with
-// the front bytes identical to what a batch SweepSession would report.
+// invocation or a --jobs experiment builds), answered by a SweepSession
+// on the shared store: from the store when warm, and when cold by one
+// evaluation per scoring identity however many requests ask at once.
 //
 //   apsq_dsed --store space.json                 # serve on an ephemeral port
 //   apsq_dsed --port 7421 --store space.json

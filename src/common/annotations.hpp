@@ -3,8 +3,8 @@
 //
 // The engine's concurrency story — the process-wide WorkStealingPool, the
 // Evaluator's memo caches, the EvalStore's snapshot map, the daemon's
-// coalescing groups — used to be checked only at runtime, by whatever races the
-// TSan job's inputs happened to exercise. These macros make the locking
+// in-flight key set — used to be checked only at runtime, by whatever races
+// the TSan job's inputs happened to exercise. These macros make the locking
 // discipline *statically* checkable: a field tagged APSQ_GUARDED_BY(mu)
 // cannot be touched without holding mu, a function tagged
 // APSQ_REQUIRES(mu) cannot be called without it, and the build fails

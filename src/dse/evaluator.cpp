@@ -52,11 +52,9 @@ const Workload& Evaluator::workload(const std::string& name) {
 }
 
 double Evaluator::energy_for(const DesignPoint& p) {
-  return energy_tt_.lookup_or_compute(canonical_key(p), [&] {
-    return workload_energy(p.dataflow, workload(p.workload), p.acc, p.psum,
-                           opt_.costs)
-        .total_pj();
-  });
+  return workload_energy(p.dataflow, workload(p.workload), p.acc, p.psum,
+                         opt_.costs)
+      .total_pj();
 }
 
 double Evaluator::area_for(const DesignPoint& p) {
@@ -143,18 +141,16 @@ void Evaluator::fill_accuracy(
 }
 
 Evaluator::PerfScore Evaluator::perf_score_for(const DesignPoint& p) {
-  return latency_tt_.lookup_or_compute(canonical_key(p), [&]() -> PerfScore {
-    const WorkloadPerformance perf = workload_performance(
-        p.dataflow, workload(p.workload), p.acc, p.psum, opt_.perf);
-    PerfScore s;
-    s.latency_s = perf.total_latency_s;
-    s.pe_utilization = perf.mean_utilization;
-    s.dram_bw_occupancy = perf.total_latency_s > 0.0
-                              ? perf.total_dram_time_s / perf.total_latency_s
-                              : 0.0;
-    s.macs = static_cast<double>(perf.total_macs);
-    return s;
-  });
+  const WorkloadPerformance perf = workload_performance(
+      p.dataflow, workload(p.workload), p.acc, p.psum, opt_.perf);
+  PerfScore s;
+  s.latency_s = perf.total_latency_s;
+  s.pe_utilization = perf.mean_utilization;
+  s.dram_bw_occupancy = perf.total_latency_s > 0.0
+                            ? perf.total_dram_time_s / perf.total_latency_s
+                            : 0.0;
+  s.macs = static_cast<double>(perf.total_macs);
+  return s;
 }
 
 WorkloadTelemetry Evaluator::telemetry_for(const DesignPoint& p) {
@@ -236,13 +232,9 @@ void Evaluator::parallel_for_points(
   }
 }
 
-CacheStats Evaluator::energy_cache_stats() const { return energy_tt_.stats(); }
 CacheStats Evaluator::area_cache_stats() const { return area_tt_.stats(); }
 CacheStats Evaluator::accuracy_cache_stats() const {
   return accuracy_tt_.stats();
-}
-CacheStats Evaluator::latency_cache_stats() const {
-  return latency_tt_.stats();
 }
 CacheStats Evaluator::score_tt_stats() const { return score_tt_.stats(); }
 

@@ -13,20 +13,19 @@
 // (tests/sim/counts_vs_analytical_test.cpp for traffic,
 // tests/sim/sim_vs_analytic_test.cpp for energy, cycles and latency).
 //
-// Sub-evaluations are memoized independently under canonical sub-keys.
-// Area depends only on the accelerator geometry and the accuracy proxy
-// only on (workload, psum, pci), so a cartesian sweep reuses the
-// overwhelming majority of those two; energy/latency depend on every field
-// of the point, so their caches pay off for repeated evaluations of the
-// same point (re-runs, overlapping spaces), not within one cartesian
-// sweep. The accuracy keys a batch (evaluate_space / evaluate_points /
-// evaluate_points_at) lacks are scored up front as one proxy batch per
-// workload (accuracy_proxy.hpp); the point loop then only reads the
-// table. All scoring functions are pure, every worker derives its
-// randomness per work item via Rng::stream, and results land in
-// index-addressed slots, so a parallel sweep is byte-identical to a serial
-// one. Parallel evaluation runs on the process-wide
-// WorkStealingPool::shared().
+// Two sub-evaluations are memoized under canonical sub-keys: area depends
+// only on the accelerator geometry and the accuracy proxy only on
+// (workload, psum, pci), so a cartesian sweep reuses the overwhelming
+// majority of both. Energy and latency depend on every field of the
+// point, so they are computed afresh on each score_tt_ miss; a repeated
+// point is answered whole by score_tt_ (evaluate_point). The accuracy
+// keys a batch (evaluate_space / evaluate_points / evaluate_points_at)
+// lacks are scored up front as one proxy batch per workload
+// (accuracy_proxy.hpp); the point loop then only reads the table. All
+// scoring functions are pure, every worker derives its randomness per
+// work item via Rng::stream, and results land in index-addressed slots,
+// so a parallel sweep is byte-identical to a serial one. Parallel
+// evaluation runs on the process-wide WorkStealingPool::shared().
 #pragma once
 
 #include <functional>
@@ -101,10 +100,8 @@ class Evaluator {
   /// Score an explicit point list (same determinism guarantees).
   std::vector<EvalResult> evaluate_points(const std::vector<DesignPoint>& pts);
 
-  CacheStats energy_cache_stats() const;
   CacheStats area_cache_stats() const;
   CacheStats accuracy_cache_stats() const;
-  CacheStats latency_cache_stats() const;
   /// Whole-result oracle table (evaluate_point) counters.
   CacheStats score_tt_stats() const;
 
@@ -114,7 +111,7 @@ class Evaluator {
 
  private:
   /// Analytic performance scalars of one point (the latency objective and
-  /// the telemetry-derived objective inputs), one cache entry per point.
+  /// the telemetry-derived objective inputs).
   struct PerfScore {
     double latency_s = 0.0;
     double pe_utilization = 0.0;
@@ -139,12 +136,10 @@ class Evaluator {
   void parallel_for_points(index_t n, const std::function<void(index_t)>& fn);
 
   EvaluatorOptions opt_;
-  // Every memo is one sharded TranspositionTable (dse/tt.hpp): the
-  // sub-evaluation tables below plus the whole-result oracle table.
-  TranspositionTable<double> energy_tt_;
+  // Every memo is one sharded TranspositionTable (dse/tt.hpp): the two
+  // sub-evaluation tables plus the whole-result oracle table.
   TranspositionTable<double> area_tt_;
   TranspositionTable<double> accuracy_tt_;
-  TranspositionTable<PerfScore> latency_tt_;
   TranspositionTable<EvalResult> score_tt_;
 };
 

@@ -209,13 +209,7 @@ std::vector<EvalResult> extract_front(
   return pareto_front_by_workload(basis, cfg.objectives);
 }
 
-std::vector<EvalResult> SweepSession::slice_front(
-    const std::vector<EvalResult>& results, size_t& global_front_size) const {
-  return extract_front(cfg_, constraints_, results, &global_front_size);
-}
-
 SweepOutcome SweepSession::run() {
-  if (cfg_.search()) return run_search();
   SweepOutcome out;
   EvalStore* st = store();
   // A private store loads its own snapshot; an external (shared) store is
@@ -230,142 +224,113 @@ SweepOutcome SweepSession::run() {
   // another session concurrently replaces it in a shared store.
   const std::shared_ptr<const EvalStore::Entry> entry =
       st != nullptr ? st->find(hash, scoring) : nullptr;
+  const auto source = [st] {
+    return st->source().empty() ? std::string("evaluated-space store")
+                                : st->source();
+  };
   if (entry != nullptr && entry->space_points != space_.size()) {
     // Same hash, different size can only mean a corrupted snapshot or a
     // hash collision — either way the entry must not answer queries.
     throw std::runtime_error(
-        (st->source().empty() ? std::string("evaluated-space store")
-                              : st->source()) +
-        ": snapshot for space hash " + hash + " records " +
+        source() + ": snapshot for space hash " + hash + " records " +
         std::to_string(entry->space_points) + " points but the space has " +
         std::to_string(space_.size()));
   }
   if (entry == nullptr && owned_store_ != nullptr && !cfg_.store_in.empty()) {
     // The caller explicitly asked to answer from this snapshot file; a
-    // missing match must fail loudly, not silently re-evaluate 1248
-    // points.
-    throw std::runtime_error(cfg_.store_in +
-                             ": no snapshot for space hash " + hash +
-                             " under scoring \"" + scoring +
-                             "\" — re-run the sweep with --store-out to "
-                             "record one");
+    // missing match must fail loudly, not silently re-evaluate the space.
+    throw std::runtime_error(cfg_.store_in + ": no snapshot for space hash " +
+                             hash + " under scoring \"" + scoring +
+                             "\" — re-run the " + to_string(cfg_.mode) +
+                             " with --store-out to record one");
   }
+  // Guard against collisions and stale snapshots: a stored row must
+  // denote exactly the point the space enumerates at its index.
+  const auto stored = [&](index_t i, const EvalResult& r) -> const EvalResult& {
+    const DesignPoint p = space_.at(i);
+    if (canonical_key(r.point) != canonical_key(p))
+      throw std::runtime_error(source() + ": snapshot point " +
+                               std::to_string(i) +
+                               " does not match the space (stored " +
+                               canonical_key(r.point) + ", expected " +
+                               canonical_key(p) + ")");
+    return r;
+  };
 
-  if (entry != nullptr) {
-    out.results.resize(static_cast<size_t>(space_.size()));
-    std::vector<index_t> misses;
-    for (index_t i = 0; i < space_.size(); ++i) {
-      const auto it = entry->results.find(i);
-      if (it == entry->results.end()) {
-        misses.push_back(i);
-        continue;
-      }
-      const DesignPoint p = space_.at(i);
-      // Guard against collisions and stale snapshots: the stored row must
-      // denote exactly the point the space enumerates at this index.
-      if (canonical_key(it->second.point) != canonical_key(p))
-        throw std::runtime_error(
-            (st->source().empty() ? std::string("evaluated-space store")
-                                  : st->source()) +
-            ": snapshot point " + std::to_string(i) +
-            " does not match the space (stored " +
-            canonical_key(it->second.point) + ", expected " +
-            canonical_key(p) + ")");
-      out.results[static_cast<size_t>(i)] = it->second;
-    }
-    out.store_hits = space_.size() - static_cast<index_t>(misses.size());
-    if (!misses.empty()) {
-      // Batched misses: one evaluate_points call, so they share the
-      // process-wide pool (and each other's memo-cache warmth).
-      std::vector<DesignPoint> pts;
-      pts.reserve(misses.size());
-      for (const index_t i : misses) pts.push_back(space_.at(i));
-      const std::vector<EvalResult> fresh = eval_->evaluate_points(pts);
-      for (size_t j = 0; j < misses.size(); ++j)
-        out.results[static_cast<size_t>(misses[j])] = fresh[j];
-      out.fresh_evaluations = static_cast<index_t>(misses.size());
+  if (cfg_.search()) {
+    if (entry != nullptr) {
+      // The scoring key pins (strategy, budget, search seed), and the
+      // trajectory those denote is deterministic — so the entry's sparse
+      // rows are the complete answer, not a partial snapshot to top up.
+      out.results.reserve(entry->results.size());
+      for (const auto& [i, r] : entry->results)
+        out.results.push_back(stored(i, r));
+      out.store_hits = static_cast<index_t>(out.results.size());
+    } else {
+      SearchDriver driver(space_, *eval_, cfg_.search_options());
+      const std::map<index_t, EvalResult> rows = driver.run();
+      out.search = driver.stats();
+      out.fresh_evaluations = static_cast<index_t>(rows.size());
+      out.results.reserve(rows.size());
+      for (const auto& [i, r] : rows) out.results.push_back(r);
+      if (st != nullptr && !rows.empty())
+        st->merge_rows(hash, scoring, cfg_.scored_by_label(), space_.size(),
+                       rows);
     }
   } else {
-    out.results = eval_->evaluate_space(space_);
-    out.fresh_evaluations = space_.size();
+    if (entry != nullptr) {
+      // Top the snapshot up: its rows answer, and the misses are scored
+      // in one evaluate_points batch, so they share the process-wide pool
+      // (and each other's memo-cache warmth).
+      out.results.resize(static_cast<size_t>(space_.size()));
+      std::vector<index_t> misses;
+      for (index_t i = 0; i < space_.size(); ++i) {
+        const auto it = entry->results.find(i);
+        if (it == entry->results.end())
+          misses.push_back(i);
+        else
+          out.results[static_cast<size_t>(i)] = stored(i, it->second);
+      }
+      out.store_hits = space_.size() - static_cast<index_t>(misses.size());
+      if (!misses.empty()) {
+        std::vector<DesignPoint> pts;
+        pts.reserve(misses.size());
+        for (const index_t i : misses) pts.push_back(space_.at(i));
+        const std::vector<EvalResult> fresh = eval_->evaluate_points(pts);
+        for (size_t j = 0; j < misses.size(); ++j)
+          out.results[static_cast<size_t>(misses[j])] = fresh[j];
+        out.fresh_evaluations = static_cast<index_t>(misses.size());
+      }
+    } else {
+      out.results = eval_->evaluate_space(space_);
+      out.fresh_evaluations = space_.size();
+    }
+    if (st != nullptr && out.fresh_evaluations > 0)
+      st->put(hash, scoring, cfg_.scored_by_label(), space_.size(),
+              out.results);
   }
-  out.front = slice_front(out.results, out.global_front_size);
+  out.front = extract_front(cfg_, constraints_, out.results,
+                            &out.global_front_size);
   out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)
                  .count();
 
-  if (st != nullptr && out.fresh_evaluations > 0)
-    st->put(hash, scoring, cfg_.scored_by_label(), space_.size(), out.results);
   if (owned_store_ != nullptr && !cfg_.store_out.empty() &&
       !owned_store_->save_file(cfg_.store_out))
     throw std::runtime_error("failed to write " + cfg_.store_out);
-
   return out;
 }
 
-SweepOutcome SweepSession::run_search() {
-  SweepOutcome out;
-  EvalStore* st = store();
-  if (owned_store_ != nullptr && !cfg_.store_in.empty())
-    owned_store_->load_file(cfg_.store_in);
+std::string SweepSession::space_hash() const {
+  return config_space_hash(space_);
+}
 
-  const std::string hash = config_space_hash(space_);
-  const std::string scoring = cfg_.scoring_key();
-  const auto t0 = std::chrono::steady_clock::now();
+bool SweepSession::answers_from_store() {
+  const EvalStore* st = store();
+  if (st == nullptr) return false;
   const std::shared_ptr<const EvalStore::Entry> entry =
-      st != nullptr ? st->find(hash, scoring) : nullptr;
-  if (entry != nullptr && entry->space_points != space_.size()) {
-    throw std::runtime_error(
-        (st->source().empty() ? std::string("evaluated-space store")
-                              : st->source()) +
-        ": snapshot for space hash " + hash + " records " +
-        std::to_string(entry->space_points) + " points but the space has " +
-        std::to_string(space_.size()));
-  }
-  if (entry == nullptr && owned_store_ != nullptr && !cfg_.store_in.empty()) {
-    throw std::runtime_error(cfg_.store_in + ": no snapshot for space hash " +
-                             hash + " under scoring \"" + scoring +
-                             "\" — re-run the search with --store-out to "
-                             "record one");
-  }
-
-  if (entry != nullptr) {
-    // The scoring key pins (strategy, budget, search seed), and the
-    // trajectory those denote is deterministic — so the entry's sparse
-    // rows are the complete answer, not a partial snapshot to top up.
-    out.results.reserve(entry->results.size());
-    for (const auto& [i, r] : entry->results) {
-      const DesignPoint p = space_.at(i);
-      if (canonical_key(r.point) != canonical_key(p))
-        throw std::runtime_error(
-            (st->source().empty() ? std::string("evaluated-space store")
-                                  : st->source()) +
-            ": snapshot point " + std::to_string(i) +
-            " does not match the space (stored " + canonical_key(r.point) +
-            ", expected " + canonical_key(p) + ")");
-      out.results.push_back(r);
-    }
-    out.store_hits = static_cast<index_t>(entry->results.size());
-  } else {
-    SearchDriver driver(space_, *eval_, cfg_.search_options());
-    const std::map<index_t, EvalResult> rows = driver.run();
-    out.search = driver.stats();
-    out.fresh_evaluations = static_cast<index_t>(rows.size());
-    out.results.reserve(rows.size());
-    for (const auto& [i, r] : rows) out.results.push_back(r);
-    if (st != nullptr && !rows.empty())
-      st->merge_rows(hash, scoring, cfg_.scored_by_label(), space_.size(),
-                     rows);
-  }
-  out.front = slice_front(out.results, out.global_front_size);
-  out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           t0)
-                 .count();
-
-  if (owned_store_ != nullptr && !cfg_.store_out.empty() &&
-      !owned_store_->save_file(cfg_.store_out))
-    throw std::runtime_error("failed to write " + cfg_.store_out);
-  return out;
+      st->find(space_hash(), cfg_.scoring_key());
+  return entry != nullptr && (cfg_.search() || entry->complete());
 }
 
 bool SweepSession::verify_serial(const SweepOutcome& out, std::ostream& err) {
@@ -405,10 +370,8 @@ StatsWriter SweepSession::stats_writer(const SweepOutcome& out) const {
   put("store_hits", out.store_hits);
   put("eval_secs", out.secs);
   put("threads", cfg_.resolved_threads());
-  put_cache("energy", eval_->energy_cache_stats());
   put_cache("area", eval_->area_cache_stats());
   put_cache("accuracy", eval_->accuracy_cache_stats());
-  put_cache("latency", eval_->latency_cache_stats());
   const WorkStealingPool& pool = WorkStealingPool::shared();
   put("pool_threads", pool.num_threads());
   put("pool_runs", pool.run_count());

@@ -1,7 +1,6 @@
 // Library-level sweep engine: the orchestration `apsq_dse` used to
-// hand-assemble, packaged so any embedder — the CLI, tests, benches, a
-// batch job runner, a future daemon — runs identical sweeps
-// programmatically.
+// hand-assemble, packaged so any embedder — the CLI, tests, benches, the
+// batch job runner, the daemon — runs identical sweeps programmatically.
 //
 //   SweepConfig   — one declarative sweep description: space, run mode
 //                   (exhaustive sweep or budgeted search), objective
@@ -141,9 +140,8 @@ std::vector<EvalResult> filter_results(const std::vector<EvalResult>& results,
 /// The per-workload Pareto front `cfg` denotes over `results`, filtered
 /// by `constraints`;
 /// `global_front_size`, when non-null, receives the size of the
-/// cross-workload front over the same basis. SweepSession and the daemon
-/// dispatcher both extract through here, so their fronts are
-/// byte-identical by construction.
+/// cross-workload front over the same basis. SweepSession::run extracts
+/// through here.
 std::vector<EvalResult> extract_front(const SweepConfig& cfg,
                                       const std::vector<Constraint>& constraints,
                                       const std::vector<EvalResult>& results,
@@ -185,11 +183,19 @@ class SweepSession {
   explicit SweepSession(SweepConfig cfg, EvalStore* store = nullptr);
   ~SweepSession();
 
-  /// Run the sweep: answer from the store where possible, evaluate the
-  /// (batched) misses, record the full result set back into the store,
-  /// extract the fronts, persist the store snapshot when configured.
-  /// Throws std::runtime_error on store I/O or consistency failures.
+  /// Run the sweep or search: answer from the store where possible,
+  /// evaluate what it lacks, record the fresh rows back into the store,
+  /// extract the fronts, persist the store snapshot when configured. A
+  /// sweep tops a stored entry up with one batch of its missing points; a
+  /// search entry is the whole answer, and without one the SearchDriver
+  /// runs. Throws std::runtime_error on store I/O or consistency failures.
   SweepOutcome run();
+
+  /// True when the attached store already holds this run's whole answer —
+  /// an entry under this space and scoring identity, complete for a sweep
+  /// — so run() will evaluate nothing. A private store is loaded by run(),
+  /// so before that only an external store can answer.
+  bool answers_from_store();
 
   /// Re-run fully serially (threads = 1, no store) and require the
   /// per-workload front CSV to be byte-identical to `out`'s. Returns
@@ -204,18 +210,12 @@ class SweepSession {
   Evaluator& evaluator() { return *eval_; }
   const ConfigSpace& space() const { return space_; }
   const SweepConfig& config() const { return cfg_; }
+  /// config_space_hash(space()): the key snapshots of this space live under.
+  std::string space_hash() const;
   /// The attached store (external or private), nullptr when none.
   EvalStore* store();
 
  private:
-  std::vector<EvalResult> slice_front(const std::vector<EvalResult>& results,
-                                      size_t& global_front_size) const;
-  /// The search-mode body of run(): answer whole from a store entry under
-  /// the search scoring key (its sparse rows ARE the complete output of
-  /// this deterministic trajectory), or run the SearchDriver cold and
-  /// merge its rows into the store.
-  SweepOutcome run_search();
-
   SweepConfig cfg_;
   ConfigSpace space_;
   std::vector<Constraint> constraints_;

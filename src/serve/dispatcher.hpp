@@ -3,41 +3,35 @@
 //
 // A query is a RequestSpec (the same validated object a CLI invocation
 // or a --jobs experiment deserializes into). The dispatcher answers it
-// the way a SweepSession would — store lookup under (space hash, scoring
-// key), per-row canonical-key guards, batched evaluation of the misses,
-// front extraction through dse::extract_front — so a warm query never
-// evaluates and every front is byte-identical to batch mode.
+// through a dse::SweepSession attached to the shared store — the one
+// query path the CLI and --jobs run too — so a warm query never
+// evaluates, and every front, error message and stored row is the batch
+// path's.
 //
-// What SweepSession doesn't have is the miss-coalescing layer: when
-// several in-flight requests miss the store under the same scoring
-// identity, their missing points are pooled and ONE evaluate_points call
-// (through the process-wide shared pool) answers all of them. Per
-// (space hash, scoring key) the dispatcher keeps a coalescing group — a
-// pending set, an in-flight set, and a done map under one mutex. A
-// request registers the misses nobody else has claimed, then either
-// becomes the group's leader (evaluating everything pending in one
-// batch) or waits for the results to be fanned back out. Two concurrent
-// cold queries over overlapping slices therefore trigger exactly one
-// evaluation of the shared points, and the summed fresh_evaluations
-// across responses equals the number of unique cold points.
+// Coalescing is per (space hash, scoring key), not per point. Two
+// requests under one key always miss the same points — a sweep misses
+// what the stored entry lacks, a search misses its whole trajectory — so
+// one of them evaluating on behalf of all is enough:
 //
-// Budgeted searches (mode=search) coalesce whole rather than
-// point-wise: a search's scoring key pins (strategy, budget, seed,
-// objective plane), so its sparse result set is the complete
-// deterministic answer. The first cold query under the key becomes the
-// search leader, runs the SearchDriver once, and merges the rows into
-// the store; every concurrent and later query answers from that
-// snapshot with zero fresh evaluations.
+//   warm  A request the store can already answer (an entry exists; for a
+//         sweep, a complete one) runs its session at once.
+//   cold  Otherwise it waits while another request holds its key, then
+//         re-checks the store. If the store still cannot answer, it takes
+//         the key, runs its session (which records the fresh rows in the
+//         store) and releases the key, waking the waiters.
+//
+// Summed across concurrent responses, fresh_evaluations therefore equals
+// the number of unique cold points. The in-flight key set is the only
+// state the dispatcher keeps per key, and a key leaves it when its run
+// returns or throws.
 //
 // Thread safety: query() is fully re-entrant — the store is internally
-// synchronized, group state is guarded by the group's mutex, and the
-// per-group Evaluator is only ever driven by the group's current leader.
+// synchronized, each request drives its own SweepSession, and the
+// in-flight set is guarded by mu_.
 #pragma once
 
 #include <atomic>
-#include <functional>
-#include <map>
-#include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -54,13 +48,14 @@ namespace apsq::serve {
 /// daemon response carries.
 struct QueryStats {
   index_t store_hits = 0;  ///< points answered straight from the store
-  /// Points this request evaluated as a coalescing-group leader. Summed
-  /// across concurrent responses this equals the number of unique cold
-  /// points — the miss-coalescing invariant.
+  /// Points this request's run evaluated. Summed across concurrent
+  /// responses this equals the number of unique cold points — the
+  /// coalescing invariant.
   index_t fresh_evaluations = 0;
-  /// Miss points answered by a batch another request led.
+  /// Rows this request read from the store after waiting for another
+  /// request's run under the same key (counted here, not in store_hits).
   index_t coalesced = 0;
-  i64 eval_batches = 0;  ///< batches this request led (0 or 1 normally)
+  i64 eval_batches = 0;  ///< 1 when this request's run evaluated, else 0
   double wall_ms = 0.0;
   int pool_threads = 0;
   i64 pool_runs = 0;
@@ -88,9 +83,8 @@ struct QueryResult {
 class Dispatcher {
  public:
   /// The store is the caller's (the daemon loads/saves it); the
-  /// dispatcher only reads entries and records fresh sweeps back.
-  explicit Dispatcher(dse::EvalStore& store);
-  ~Dispatcher();
+  /// dispatcher's sessions read entries and record fresh rows back.
+  explicit Dispatcher(dse::EvalStore& store) : store_(store) {}
 
   Dispatcher(const Dispatcher&) = delete;
   Dispatcher& operator=(const Dispatcher&) = delete;
@@ -110,38 +104,15 @@ class Dispatcher {
   i64 total_fresh_evaluations() const { return total_fresh_.load(); }
   i64 total_eval_batches() const { return total_batches_.load(); }
 
-  /// Requests currently inside query() that have registered their misses
-  /// with a coalescing group and not yet returned. Test hook: lets a
-  /// concurrency test hold the leader until every racing request has
-  /// joined the group.
-  int inflight_requests() const { return inflight_.load(); }
-
-  /// Test hook, called by a group leader after taking leadership and
-  /// BEFORE freezing the batch (so a test can park the leader until
-  /// other requests have registered their misses). Set once, before
-  /// serving traffic; never called under a lock.
-  void set_batch_hook(std::function<void()> hook) {
-    batch_hook_ = std::move(hook);
-  }
-
  private:
-  struct Group;
-
-  /// The coalescing group for (space hash, scoring key), created on
-  /// first use with an Evaluator built from `req`'s options.
-  Group& group_for(const std::string& hash, const std::string& scoring,
-                   const dse::RequestSpec& req) APSQ_EXCLUDES(mu_);
-
   dse::EvalStore& store_;
   mutable Mutex mu_;
-  /// key = space_hash + '\n' + scoring. Groups are never destroyed while
-  /// the dispatcher lives (pointers handed out stay valid).
-  std::map<std::string, std::unique_ptr<Group>> groups_ APSQ_GUARDED_BY(mu_);
-  std::function<void()> batch_hook_;
+  CondVar key_released_;
+  /// space_hash + '\n' + scoring of every cold run in progress.
+  std::set<std::string> inflight_ APSQ_GUARDED_BY(mu_);
   std::atomic<i64> total_requests_{0};
   std::atomic<i64> total_fresh_{0};
   std::atomic<i64> total_batches_{0};
-  std::atomic<int> inflight_{0};
 };
 
 }  // namespace apsq::serve

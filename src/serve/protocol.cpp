@@ -21,13 +21,6 @@ void append_head(std::ostringstream& os, bool ok, const std::string& id) {
   if (!id.empty()) os << ", \"id\": \"" << json_escape(id) << "\"";
 }
 
-std::string error_response(const std::string& id, const std::string& msg) {
-  std::ostringstream os;
-  append_head(os, false, id);
-  os << ", \"error\": \"" << json_escape(msg) << "\"}";
-  return os.str();
-}
-
 std::string query_response(const std::string& id, const dse::RequestSpec& req,
                            const QueryResult& qr,
                            const std::vector<std::string>& wrote) {
@@ -63,6 +56,13 @@ std::string query_response(const std::string& id, const dse::RequestSpec& req,
 }
 
 }  // namespace
+
+std::string error_response(const std::string& id, const std::string& msg) {
+  std::ostringstream os;
+  append_head(os, false, id);
+  os << ", \"error\": \"" << json_escape(msg) << "\"}";
+  return os.str();
+}
 
 LineResult handle_request_line(Dispatcher& dispatcher,
                                const std::string& line) {

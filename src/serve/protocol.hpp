@@ -20,9 +20,12 @@
 // asks the server to stop.
 //
 // Errors never tear the connection down: a malformed line yields an
-// ok:false response and the next line is processed normally.
+// ok:false response and the next line is processed normally. The one
+// exception is a TCP request line longer than kMaxRequestLineBytes: it is
+// answered with an ok:false response and its connection is closed.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
 namespace apsq::serve {
@@ -31,6 +34,12 @@ class Dispatcher;
 
 /// The protocol schema this build speaks (requests and responses).
 inline constexpr int kProtocolSchemaVersion = 1;
+
+/// The longest request line (newline excluded) the TCP server buffers.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
+/// An ok:false response line carrying `msg` (and `id` when non-empty).
+std::string error_response(const std::string& id, const std::string& msg);
 
 /// Outcome of one request line.
 struct LineResult {

@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -53,12 +54,15 @@ i64 serve_stream(Dispatcher& dispatcher, std::istream& in, std::ostream& out) {
 namespace {
 
 /// Shared between the accept loop and the per-connection threads: the
-/// open sockets, so a shutdown command can unblock every blocked read.
+/// open sockets, so a shutdown command can unblock every blocked read,
+/// and the connection threads that have returned, for the accept loop to
+/// join.
 struct ServerState {
   Mutex mu;
   bool stopping APSQ_GUARDED_BY(mu) = false;
   int listen_fd APSQ_GUARDED_BY(mu) = -1;
   std::vector<int> conn_fds APSQ_GUARDED_BY(mu);
+  std::vector<std::thread::id> finished APSQ_GUARDED_BY(mu);
 };
 
 void begin_shutdown(ServerState& state) {
@@ -82,11 +86,25 @@ bool send_all(int fd, const std::string& data) {
 }
 
 /// One connection: buffered line reads, one response line per request.
+/// A line longer than kMaxRequestLineBytes is answered with an error and
+/// ends the connection.
 void serve_connection(Dispatcher& dispatcher, ServerState& state, int fd) {
   std::string buf;
   char chunk[4096];
   for (;;) {
     const size_t nl = buf.find('\n');
+    if ((nl == std::string::npos ? buf.size() : nl) > kMaxRequestLineBytes) {
+      send_all(fd, error_response("", "request: line exceeds " +
+                                          std::to_string(kMaxRequestLineBytes) +
+                                          " bytes") +
+                       "\n");
+      // Half-close and discard the rest of the input, so unread bytes do
+      // not turn the close into a reset that loses the reply.
+      ::shutdown(fd, SHUT_WR);
+      while (::recv(fd, chunk, sizeof(chunk), 0) > 0) {
+      }
+      break;
+    }
     if (nl == std::string::npos) {
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
       if (n <= 0) break;  // disconnect, error, or shutdown() from stop
@@ -112,6 +130,7 @@ void serve_connection(Dispatcher& dispatcher, ServerState& state, int fd) {
                            static_cast<std::ptrdiff_t>(i));
       break;
     }
+  state.finished.push_back(std::this_thread::get_id());
 }
 
 }  // namespace
@@ -161,8 +180,21 @@ int serve_tcp(Dispatcher& dispatcher, const ServeOptions& opts) {
     MutexLock lock(state.mu);
     state.listen_fd = listen_fd;
   }
-  std::vector<std::thread> threads;
+  // Connection threads by id. Each accept first joins the threads that
+  // have returned since the last one, so a long-lived server holds only
+  // the threads of live connections, not one per connection ever served.
+  std::map<std::thread::id, std::thread> threads;
   for (;;) {
+    std::vector<std::thread::id> finished;
+    {
+      MutexLock lock(state.mu);
+      finished.swap(state.finished);
+    }
+    for (const std::thread::id id : finished) {
+      const auto it = threads.find(id);
+      it->second.join();
+      threads.erase(it);
+    }
     const int fd = ::accept(listen_fd, nullptr, nullptr);
     {
       MutexLock lock(state.mu);
@@ -173,11 +205,13 @@ int serve_tcp(Dispatcher& dispatcher, const ServeOptions& opts) {
       if (fd < 0) continue;  // transient accept failure; keep serving
       state.conn_fds.push_back(fd);
     }
-    threads.emplace_back(
+    std::thread t(
         [&dispatcher, &state, fd] { serve_connection(dispatcher, state, fd); });
+    const std::thread::id id = t.get_id();
+    threads.emplace(id, std::move(t));
   }
   ::close(listen_fd);
-  for (std::thread& t : threads) t.join();
+  for (auto& [id, t] : threads) t.join();
   if (opts.log != nullptr) {
     *opts.log << "apsq_dsed: shutdown complete\n";
     opts.log->flush();

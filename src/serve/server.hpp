@@ -32,10 +32,12 @@ struct ServeOptions {
   std::ostream* log = nullptr;
 };
 
-/// Bind 127.0.0.1, accept connections (one service thread each), and
-/// serve until a client sends a shutdown command. Requests from separate
-/// connections run concurrently through the shared dispatcher — that
-/// concurrency is what miss coalescing exists for. Returns 0 on a clean
+/// Bind 127.0.0.1, accept connections (one service thread each, joined
+/// after its connection closes), and serve until a client sends a
+/// shutdown command. Requests from separate connections run concurrently
+/// through the shared dispatcher — that concurrency is what miss
+/// coalescing exists for. A request line longer than kMaxRequestLineBytes
+/// is answered with an error and its connection closed. Returns 0 on a clean
 /// shutdown, 1 on a setup failure (bind/listen), with the reason on
 /// `opts.log` if set.
 int serve_tcp(Dispatcher& dispatcher, const ServeOptions& opts);

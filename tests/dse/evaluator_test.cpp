@@ -54,14 +54,15 @@ TEST(Evaluator, RepeatedEvaluationHitsTheCacheAndMatches) {
   const EvalResult a = eval.evaluate(p);
   EXPECT_EQ(eval.score_tt_stats().misses, 1);
   EXPECT_EQ(eval.score_tt_stats().hits, 0);
-  EXPECT_EQ(eval.energy_cache_stats().misses, 1);
+  EXPECT_EQ(eval.area_cache_stats().misses, 1);
 
   const EvalResult b = eval.evaluate(p);
   // The repeat is a whole-result transposition-table hit — the sub-caches
   // are never consulted again.
   EXPECT_EQ(eval.score_tt_stats().misses, 1);
   EXPECT_EQ(eval.score_tt_stats().hits, 1);
-  EXPECT_EQ(eval.energy_cache_stats().lookups(), 1);
+  EXPECT_EQ(eval.area_cache_stats().lookups(), 1);
+  EXPECT_EQ(eval.accuracy_cache_stats().lookups(), 1);
 
   // Bit-identical, not just close.
   EXPECT_EQ(a.obj.energy_pj, b.obj.energy_pj);
@@ -80,7 +81,7 @@ TEST(Evaluator, SubEvaluationCachesShareAcrossPoints) {
   eval.evaluate(b);
   EXPECT_EQ(eval.area_cache_stats().hits, 1);
   EXPECT_EQ(eval.accuracy_cache_stats().hits, 1);
-  EXPECT_EQ(eval.energy_cache_stats().hits, 0);  // energy depends on dataflow
+  EXPECT_EQ(eval.score_tt_stats().misses, 2);  // the full points differ
 }
 
 TEST(Evaluator, ParallelEqualsSerialByteIdentical) {
@@ -120,10 +121,8 @@ TEST(Evaluator, CacheStatsReconcileWithLookups) {
   // first-run computes, and the warm run added pure hits.
   EXPECT_EQ(ss.misses + ss.races, cold);
   EXPECT_EQ(ss.hits, cold);
-  // The sub-caches saw exactly the cold computes, once each.
-  EXPECT_EQ(eval.energy_cache_stats().lookups(), cold);
+  // The area table saw exactly the cold computes, once each.
   EXPECT_EQ(eval.area_cache_stats().lookups(), cold);
-  EXPECT_EQ(eval.latency_cache_stats().lookups(), cold);
   // The accuracy table is filled before the cold point loop: one miss per
   // distinct key (smoke: one workload and one pci, so one key per PSUM
   // config), one hit per point read, and no races at any thread count —
@@ -132,8 +131,6 @@ TEST(Evaluator, CacheStatsReconcileWithLookups) {
   EXPECT_EQ(as.misses, static_cast<i64>(space.psum_configs.size()));
   EXPECT_EQ(as.hits, cold);
   EXPECT_EQ(as.races, 0);
-  const CacheStats es = eval.energy_cache_stats();
-  EXPECT_EQ(es.misses + es.races, cold);  // all smoke keys are distinct
 }
 
 TEST(Evaluator, RepeatedCallsReuseThePersistentPool) {

@@ -1,19 +1,19 @@
 // The daemon dispatcher's contract: a query is answered exactly as a
 // batch SweepSession would answer it — warm queries from the store with
 // zero fresh evaluations and byte-identical front CSVs, cold queries by
-// batched evaluation — and concurrent requests missing under the same
-// scoring identity coalesce into ONE evaluate_points batch, with the
-// summed fresh_evaluations across responses equal to the number of
-// unique cold points.
+// one evaluation per scoring key — and concurrent requests missing under
+// the same scoring identity coalesce: whatever the schedule, the summed
+// fresh_evaluations across responses equals the number of unique cold
+// points.
 #include "serve/dispatcher.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -158,38 +158,89 @@ TEST(Dispatcher, WarmReslicesAcrossObjectiveSubsetsAndTruncation) {
 }
 
 TEST(Dispatcher, ConcurrentColdQueriesCoalesceIntoOneBatch) {
-  // Two concurrent cold queries over overlapping slices of the same
-  // space/scoring identity must trigger exactly ONE evaluate_points
-  // batch, with the summed fresh_evaluations equal to the unique cold
-  // points. The batch hook parks the leader after it takes leadership
-  // and before it freezes the batch, until both requests have registered
-  // their misses — making the race deterministic.
+  // Concurrent cold queries under one scoring identity (over two objective
+  // slices of it) run ONE evaluation: the request holding the key scores
+  // the 8 points, and every other request either waited for it and reads
+  // them as coalesced, or came after it and reads them as store hits.
+  // That holds for any schedule; each fresh seed is a new race, released
+  // by a start barrier so the requests overlap.
+  constexpr int kThreads = 4;
+  for (const u64 seed : {0x101ULL, 0x202ULL, 0x303ULL, 0x404ULL, 0x505ULL}) {
+    dse::EvalStore store;
+    Dispatcher d(store);
+    std::vector<dse::RequestSpec> reqs(kThreads, smoke_request());
+    for (int t = 0; t < kThreads; ++t) {
+      reqs[static_cast<size_t>(t)].config.seed = seed;
+      if (t % 2 != 0)
+        reqs[static_cast<size_t>(t)].config.objectives =
+            dse::ObjectiveSet::parse("energy,latency");
+    }
+    std::vector<QueryResult> results(kThreads);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        results[static_cast<size_t>(t)] = d.query(reqs[static_cast<size_t>(t)]);
+      });
+    for (std::thread& t : threads) t.join();
+
+    EXPECT_EQ(d.total_eval_batches(), 1) << "seed " << seed;
+    EXPECT_EQ(d.total_fresh_evaluations(), 8) << "seed " << seed;
+    index_t fresh = 0;
+    int leaders = 0;
+    for (const QueryResult& qr : results) {
+      fresh += qr.stats.fresh_evaluations;
+      if (qr.stats.fresh_evaluations > 0) {
+        ++leaders;
+        EXPECT_EQ(qr.stats.eval_batches, 1);
+        EXPECT_EQ(qr.stats.coalesced, 0);
+      } else {
+        EXPECT_EQ(qr.stats.eval_batches, 0);
+        EXPECT_EQ(qr.stats.coalesced + qr.stats.store_hits, 8);
+      }
+    }
+    EXPECT_EQ(fresh, 8) << "seed " << seed;
+    EXPECT_EQ(leaders, 1) << "seed " << seed;
+    const std::string want_a = serial_front_csv(reqs[0].config);
+    const std::string want_b = serial_front_csv(reqs[1].config);
+    for (int t = 0; t < kThreads; ++t)
+      EXPECT_EQ(results[static_cast<size_t>(t)].front_csv,
+                t % 2 == 0 ? want_a : want_b)
+          << "seed " << seed << " thread " << t;
+  }
+}
+
+TEST(Dispatcher, ThrowingColdRunReleasesItsKey) {
+  // A partial snapshot whose row 0 holds point 1's result: the store cannot
+  // answer, so the query takes its key, and its run throws on the stale
+  // row. The key must be released on the throw — a second query under it
+  // gets the same error instead of waiting forever.
   dse::EvalStore store;
+  const dse::RequestSpec req = smoke_request();
+  {
+    dse::SweepSession session(req.config);
+    const dse::SweepOutcome out = session.run();
+    std::map<index_t, dse::EvalResult> rows;
+    for (index_t i = 1; i < 7; ++i) rows[i] = out.results[static_cast<size_t>(i)];
+    rows[0] = out.results[1];
+    store.merge_rows(session.space_hash(), req.config.scoring_key(),
+                     req.config.scored_by_label(), 8, rows);
+  }
   Dispatcher d(store);
-  d.set_batch_hook([&d] {
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (d.inflight_requests() < 2 &&
-           std::chrono::steady_clock::now() < deadline)
-      std::this_thread::yield();
-  });
-
-  dse::RequestSpec req_a = smoke_request();
-  dse::RequestSpec req_b = smoke_request();
-  req_b.config.objectives = dse::ObjectiveSet::parse("energy,latency");
-
-  QueryResult qr_a, qr_b;
-  std::thread ta([&] { qr_a = d.query(req_a); });
-  std::thread tb([&] { qr_b = d.query(req_b); });
-  ta.join();
-  tb.join();
-
-  EXPECT_EQ(d.total_eval_batches(), 1);
-  EXPECT_EQ(qr_a.stats.fresh_evaluations + qr_b.stats.fresh_evaluations, 8);
-  EXPECT_EQ(qr_a.stats.coalesced + qr_b.stats.coalesced, 8);
-  EXPECT_EQ(d.total_fresh_evaluations(), 8);
-  EXPECT_EQ(qr_a.front_csv, serial_front_csv(req_a.config));
-  EXPECT_EQ(qr_b.front_csv, serial_front_csv(req_b.config));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    try {
+      d.query(req);
+      FAIL() << "expected the stale row to be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "snapshot point 0 does not match the space"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(d.total_fresh_evaluations(), 0);
 }
 
 TEST(Dispatcher, MixedWarmAndColdThreadsFreshEqualsUniqueColdPoints) {
@@ -235,8 +286,9 @@ TEST(Dispatcher, MixedWarmAndColdThreadsFreshEqualsUniqueColdPoints) {
 
 TEST(Dispatcher, ConcurrentSearchQueriesCoalesceIntoOneDriverRun) {
   // Cold search queries under one scoring identity coalesce whole: ONE
-  // SearchDriver run (one leader), everyone else answered from the
-  // merged store rows — however the requests interleave.
+  // SearchDriver run (the request holding the key), everyone else
+  // answered from the merged store rows — however the requests
+  // interleave.
   dse::EvalStore store;
   Dispatcher d(store);
 
@@ -261,7 +313,7 @@ TEST(Dispatcher, ConcurrentSearchQueriesCoalesceIntoOneDriverRun) {
   const index_t rows = static_cast<index_t>(results[0].results.size());
   EXPECT_GT(rows, 0);
   EXPECT_LE(rows, 24);
-  EXPECT_EQ(fresh, rows);  // only the leader evaluated
+  EXPECT_EQ(fresh, rows);  // only the key holder evaluated
   EXPECT_EQ(d.total_fresh_evaluations(), rows);
   // Every response is byte-identical to the batch session's answer.
   const std::string want = serial_front_csv(req.config);
@@ -335,8 +387,8 @@ TEST(Dispatcher, RejectsInvalidConfigsWithTheCliMessage) {
 }
 
 TEST(Dispatcher, SerialGroupLeavesThePoolWidthUnpinned) {
-  // A threads=1 group scores serially, so it must not pin
-  // APSQ_POOL_THREADS for later parallel groups.
+  // A threads=1 query scores serially, so it must not pin
+  // APSQ_POOL_THREADS for later parallel queries.
   const char* prev = std::getenv("APSQ_POOL_THREADS");
   const std::string saved = prev != nullptr ? prev : "";
   unsetenv("APSQ_POOL_THREADS");

@@ -1,0 +1,194 @@
+// The TCP transport under long uptime and hostile input: connection
+// threads are joined while the server runs (sequential connection churn
+// leaves the process's virtual memory flat), and an oversized request
+// line is answered with an error and its connection closed, without
+// affecting later connections.
+#include "serve/server.hpp"
+
+#include <gtest/gtest.h>
+
+#include <chrono>
+#include <cstdio>
+#include <fstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+
+#include "dse/store.hpp"
+#include "serve/dispatcher.hpp"
+#include "serve/protocol.hpp"
+
+#ifndef _WIN32
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+#endif
+
+namespace apsq::serve {
+namespace {
+
+#ifndef _WIN32
+
+/// A blocking line client for one connection to 127.0.0.1.
+class LineClient {
+ public:
+  explicit LineClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    if (fd_ < 0) throw std::runtime_error("socket() failed");
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
+                  sizeof(addr)) != 0) {
+      ::close(fd_);
+      throw std::runtime_error("connect() failed");
+    }
+  }
+  ~LineClient() { ::close(fd_); }
+  LineClient(const LineClient&) = delete;
+  LineClient& operator=(const LineClient&) = delete;
+
+  /// Send all of `data`; false if the server stopped reading first.
+  bool send(const std::string& data) {
+    size_t off = 0;
+    while (off < data.size()) {
+      const ssize_t n =
+          ::send(fd_, data.data() + off, data.size() - off, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      off += static_cast<size_t>(n);
+    }
+    return true;
+  }
+
+  /// The next response line (newline stripped); "" at end of stream.
+  std::string read_line() {
+    for (;;) {
+      const size_t nl = buf_.find('\n');
+      if (nl != std::string::npos) {
+        std::string line = buf_.substr(0, nl);
+        buf_.erase(0, nl + 1);
+        return line;
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return "";
+      buf_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+  std::string roundtrip(const std::string& line) {
+    send(line + "\n");
+    return read_line();
+  }
+
+ private:
+  int fd_;
+  std::string buf_;
+};
+
+/// serve_tcp on an ephemeral port in a background thread, shut down (and
+/// required to exit 0) on destruction.
+class TestServer {
+ public:
+  TestServer() : dispatcher_(store_) {
+    opts_.port_file = ::testing::TempDir() + "apsq_server_test_port.txt";
+    std::remove(opts_.port_file.c_str());
+    thread_ = std::thread([this] { rc_ = serve_tcp(dispatcher_, opts_); });
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (port_ == 0 && std::chrono::steady_clock::now() < deadline) {
+      std::ifstream f(opts_.port_file);
+      if (!(f >> port_)) {
+        port_ = 0;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+  }
+  ~TestServer() {
+    if (port_ != 0) LineClient(port_).roundtrip("{\"cmd\": \"shutdown\"}");
+    thread_.join();
+    std::remove(opts_.port_file.c_str());
+    EXPECT_EQ(rc_, 0);
+  }
+  TestServer(const TestServer&) = delete;
+  TestServer& operator=(const TestServer&) = delete;
+
+  int port() const { return port_; }
+
+ private:
+  dse::EvalStore store_;
+  Dispatcher dispatcher_;
+  ServeOptions opts_;
+  int port_ = 0;
+  int rc_ = -1;
+  std::thread thread_;
+};
+
+/// This process's virtual size in MB (VmSize), or -1 where /proc is
+/// unavailable.
+double vm_size_mb() {
+  std::ifstream f("/proc/self/status");
+  std::string key;
+  while (f >> key) {
+    if (key == "VmSize:") {
+      double kb = 0.0;
+      f >> kb;
+      return kb / 1024.0;
+    }
+  }
+  return -1.0;
+}
+
+TEST(Server, SequentialConnectionChurnKeepsVirtualMemoryBounded) {
+  // Each connection thread reserves a full stack; a server that joins them
+  // only at shutdown grows by ~8 MB of address space per connection ever
+  // served (2.4 GB over this churn). Joined during uptime, the growth
+  // stays near zero: at most a couple of connections are alive at once.
+  TestServer server;
+  ASSERT_NE(server.port(), 0);
+  const auto ping = [&] {
+    LineClient c(server.port());
+    return c.roundtrip("{\"cmd\": \"ping\"}");
+  };
+  for (int i = 0; i < 5; ++i) ASSERT_NE(ping().find("\"ok\": true"), std::string::npos);
+  const double before = vm_size_mb();
+  if (before < 0.0) GTEST_SKIP() << "no /proc/self/status";
+  for (int i = 0; i < 300; ++i)
+    ASSERT_NE(ping().find("\"ok\": true"), std::string::npos) << "connection " << i;
+  const double growth = vm_size_mb() - before;
+  EXPECT_LT(growth, 256.0) << "VmSize grew by " << growth << " MB";
+}
+
+TEST(Server, OversizedRequestLineIsRejectedAndTheServerKeepsServing) {
+  TestServer server;
+  ASSERT_NE(server.port(), 0);
+  {
+    LineClient c(server.port());
+    // The server may stop reading once the cap is passed; the reply must
+    // arrive either way.
+    c.send(std::string(kMaxRequestLineBytes + 1, 'x') + "\n");
+    EXPECT_EQ(c.read_line(),
+              "{\"schema_version\": 1, \"ok\": false, \"error\": \"request: "
+              "line exceeds 1048576 bytes\"}");
+    EXPECT_EQ(c.read_line(), "");  // and the connection is closed
+  }
+  // A line at the cap is read whole and answered like any malformed line.
+  {
+    LineClient c(server.port());
+    const std::string reply =
+        c.roundtrip(std::string(kMaxRequestLineBytes, 'x'));
+    EXPECT_NE(reply.find("\"ok\": false"), std::string::npos);
+    EXPECT_EQ(reply.find("line exceeds"), std::string::npos) << reply;
+    EXPECT_NE(c.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
+              std::string::npos);
+  }
+  LineClient fresh(server.port());
+  EXPECT_NE(fresh.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
+            std::string::npos);
+}
+
+#endif  // _WIN32
+
+}  // namespace
+}  // namespace apsq::serve
