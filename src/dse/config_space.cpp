@@ -66,9 +66,12 @@ std::vector<AxisDesc> ConfigSpace::axes() const {
   return ax;
 }
 
-index_t ConfigSpace::size() const {
+namespace {
+
+/// Product of the axis lengths, overflow-checked.
+index_t point_count(const std::vector<AxisDesc>& ax) {
   index_t n = 1;
-  for (const AxisDesc& axis : axes()) {
+  for (const AxisDesc& axis : ax) {
     index_t next = 0;
     APSQ_CHECK_MSG(!__builtin_mul_overflow(n, axis.count, &next),
                    "config-space size overflows 64-bit index arithmetic");
@@ -77,9 +80,14 @@ index_t ConfigSpace::size() const {
   return n;
 }
 
+}  // namespace
+
+index_t ConfigSpace::size() const { return point_count(axes()); }
+
 DesignPoint ConfigSpace::at(index_t i) const {
-  APSQ_CHECK_MSG(i >= 0 && i < size(), "design-point index out of range");
   const std::vector<AxisDesc> ax = axes();
+  APSQ_CHECK_MSG(i >= 0 && i < point_count(ax),
+                 "design-point index out of range");
   // Mixed-radix digits, last axis fastest. All 64-bit: a digit of a
   // >2³²-point space must never pass through a narrower intermediate.
   std::vector<index_t> digit(ax.size(), 0);

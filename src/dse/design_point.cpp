@@ -4,7 +4,9 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <unordered_map>
 
+#include "common/annotations.hpp"
 #include "common/check.hpp"
 #include "dse/names.hpp"
 
@@ -20,6 +22,32 @@ const ObjectiveName& name_row(Objective o) {
   APSQ_CHECK_MSG(i < table.size() && table[i].objective == o,
                  "objective naming table out of sync");
   return table[i];
+}
+
+/// The interned id of a workload name: equal names get equal ids,
+/// distinct names distinct ones. Thread-safe.
+u32 workload_id(const std::string& name) {
+  // Points arrive in long runs of one workload, so a one-entry cache per
+  // thread answers nearly every call without touching the shared table.
+  thread_local std::string last_name;
+  thread_local u32 last_id = 0;
+  thread_local bool cached = false;
+  if (cached && name == last_name) return last_id;
+  struct Table {
+    Mutex mu;
+    std::unordered_map<std::string, u32> ids APSQ_GUARDED_BY(mu);
+  };
+  static Table table;
+  u32 id = 0;
+  {
+    MutexLock lock(table.mu);
+    id = table.ids.emplace(name, static_cast<u32>(table.ids.size()))
+             .first->second;
+  }
+  last_name = name;
+  last_id = id;
+  cached = true;
+  return id;
 }
 
 }  // namespace
@@ -40,6 +68,59 @@ std::string canonical_key(const DesignPoint& p) {
      << "|bw=" << p.acc.weight_buf_bytes << "|ab=" << p.acc.act_bits
      << "|wb=" << p.acc.weight_bits;
   return os.str();
+}
+
+PointKey PointKey::of(const DesignPoint& p) {
+  PointKey k;
+  k.workload = workload_id(p.workload);
+  k.dataflow = static_cast<i32>(p.dataflow);
+  k.psum_bits = p.psum.psum_bits;
+  k.apsq = p.psum.apsq ? 1 : 0;
+  k.group_size = p.psum.group_size;
+  k.po = p.acc.po;
+  k.pci = p.acc.pci;
+  k.pco = p.acc.pco;
+  k.ifmap_buf_bytes = p.acc.ifmap_buf_bytes;
+  k.ofmap_buf_bytes = p.acc.ofmap_buf_bytes;
+  k.weight_buf_bytes = p.acc.weight_buf_bytes;
+  k.act_bits = p.acc.act_bits;
+  k.weight_bits = p.acc.weight_bits;
+  return k;
+}
+
+size_t PointKey::hash() const {
+  // Fold each field through a multiply-xorshift step, then finalize with
+  // splitmix64's mixer so the low bits (shard choice) are well spread.
+  const auto pair = [](i32 hi, i32 lo) {
+    return static_cast<u64>(static_cast<u32>(hi)) << 32 |
+           static_cast<u32>(lo);
+  };
+  u64 h = 0x9E3779B97F4A7C15ULL;
+  for (const u64 v :
+       {static_cast<u64>(workload) << 32 | static_cast<u32>(dataflow),
+        pair(psum_bits, apsq), static_cast<u64>(group_size),
+        static_cast<u64>(po), static_cast<u64>(pci), static_cast<u64>(pco),
+        static_cast<u64>(ifmap_buf_bytes), static_cast<u64>(ofmap_buf_bytes),
+        static_cast<u64>(weight_buf_bytes), pair(act_bits, weight_bits)}) {
+    h = (h ^ v) * 0xFF51AFD7ED558CCDULL;
+    h ^= h >> 32;
+  }
+  h ^= h >> 30;
+  h *= 0xBF58476D1CE4E5B9ULL;
+  h ^= h >> 27;
+  h *= 0x94D049BB133111EBULL;
+  h ^= h >> 31;
+  return static_cast<size_t>(h);
+}
+
+bool operator==(const PointKey& a, const PointKey& b) {
+  return a.workload == b.workload && a.dataflow == b.dataflow &&
+         a.psum_bits == b.psum_bits && a.apsq == b.apsq &&
+         a.group_size == b.group_size && a.po == b.po && a.pci == b.pci &&
+         a.pco == b.pco && a.ifmap_buf_bytes == b.ifmap_buf_bytes &&
+         a.ofmap_buf_bytes == b.ofmap_buf_bytes &&
+         a.weight_buf_bytes == b.weight_buf_bytes &&
+         a.act_bits == b.act_bits && a.weight_bits == b.weight_bits;
 }
 
 const char* to_string(Objective o) { return name_row(o).name; }

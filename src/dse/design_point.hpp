@@ -4,9 +4,12 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/types.hpp"
 #include "energy/access_counts.hpp"
 #include "energy/accelerator_config.hpp"
 #include "energy/psum_config.hpp"
@@ -27,11 +30,45 @@ struct DesignPoint {
   void validate() const;
 };
 
-/// Stable, fully-identifying text key for a design point. Two points with
-/// the same key are the same configuration; the key doubles as the
-/// memoization / tie-breaking identity, so its format must stay
-/// deterministic (pure integers, fixed field order, no doubles).
+/// Stable, fully-identifying text key for a design point: the output and
+/// ordering key. Fronts and CSVs are emitted in canonical_key order, so
+/// its format must stay deterministic (pure integers, fixed field order,
+/// no doubles). Identity checks on the scoring and selection paths use
+/// PointKey instead; a string is built only where one is emitted.
 std::string canonical_key(const DesignPoint& p);
+
+/// Fixed-size, hashable identity of a design point: every field
+/// canonical_key encodes, the workload as a process-wide interned id
+/// (assigned in first-seen order, so an identity only: never an ordering,
+/// never persisted). Two points have equal PointKeys iff they have equal
+/// canonical keys. A key holds no heap memory, so the memo tables, the
+/// Pareto dedupe and the search front compare points without formatting
+/// strings. Its field order is not canonical_key's string order (pb=16
+/// sorts before pb=8 there): sort output by canonical_key.
+struct PointKey {
+  u32 workload = 0;  ///< interned DesignPoint::workload
+  i32 dataflow = 0;
+  i32 psum_bits = 0;
+  i32 apsq = 0;
+  index_t group_size = 0;
+  index_t po = 0;
+  index_t pci = 0;
+  index_t pco = 0;
+  i64 ifmap_buf_bytes = 0;
+  i64 ofmap_buf_bytes = 0;
+  i64 weight_buf_bytes = 0;
+  i32 act_bits = 0;
+  i32 weight_bits = 0;
+
+  static PointKey of(const DesignPoint& p);
+
+  size_t hash() const;
+};
+
+bool operator==(const PointKey& a, const PointKey& b);
+inline bool operator!=(const PointKey& a, const PointKey& b) {
+  return !(a == b);
+}
 
 /// The DSE objectives, in storage order. The first four (the core set)
 /// are minimized; the telemetry-derived trio is maximized — dominance and
@@ -156,3 +193,10 @@ struct EvalResult {
 };
 
 }  // namespace apsq::dse
+
+namespace std {
+template <>
+struct hash<apsq::dse::PointKey> {
+  size_t operator()(const apsq::dse::PointKey& k) const { return k.hash(); }
+};
+}  // namespace std

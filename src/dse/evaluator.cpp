@@ -1,7 +1,6 @@
 #include "dse/evaluator.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 
@@ -57,36 +56,43 @@ double Evaluator::energy_for(const DesignPoint& p) {
       .total_pj();
 }
 
-double Evaluator::area_for(const DesignPoint& p) {
-  // Area ignores workload and dataflow; the RAE is only instantiated for
-  // APSQ configs (a plain low-bit or full-precision PSUM path needs no
-  // requantization engine).
-  std::ostringstream key;
-  key << "po=" << p.acc.po << "|pci=" << p.acc.pci << "|pco=" << p.acc.pco
-      << "|bi=" << p.acc.ifmap_buf_bytes << "|bo=" << p.acc.ofmap_buf_bytes
-      << "|bw=" << p.acc.weight_buf_bytes << "|ab=" << p.acc.act_bits
-      << "|wb=" << p.acc.weight_bits << "|rae=" << (p.psum.apsq ? 1 : 0);
-  return area_tt_.lookup_or_compute(key.str(), [&] {
+namespace {
+
+/// The area sub-key: area ignores workload and dataflow, and reads the
+/// PSUM config only for whether an RAE is instantiated (apsq).
+PointKey area_key(PointKey k) {
+  k.workload = 0;
+  k.dataflow = 0;
+  k.psum_bits = 0;
+  k.group_size = 0;
+  return k;
+}
+
+/// The accuracy sub-key: the proxy reads only (workload, psum, pci).
+PointKey accuracy_key(const PointKey& k) {
+  PointKey a;
+  a.workload = k.workload;
+  a.psum_bits = k.psum_bits;
+  a.apsq = k.apsq;
+  a.group_size = k.group_size;
+  a.pci = k.pci;
+  return a;
+}
+
+}  // namespace
+
+double Evaluator::area_for(const DesignPoint& p, const PointKey& key) {
+  // The RAE is only instantiated for APSQ configs (a plain low-bit or
+  // full-precision PSUM path needs no requantization engine).
+  return area_tt_.lookup_or_compute(area_key(key), [&] {
     return p.psum.apsq
                ? accelerator_with_rae_area(p.acc, opt_.area_lib).total_um2()
                : baseline_accelerator_area(p.acc, opt_.area_lib).total_um2();
   });
 }
 
-namespace {
-
-std::string accuracy_key(const DesignPoint& p) {
-  std::ostringstream key;
-  key << "wl=" << p.workload << "|pb=" << p.psum.psum_bits
-      << "|apsq=" << (p.psum.apsq ? 1 : 0) << "|gs=" << p.psum.group_size
-      << "|pci=" << p.acc.pci;
-  return key.str();
-}
-
-}  // namespace
-
-double Evaluator::error_for(const DesignPoint& p) {
-  return accuracy_tt_.lookup_or_compute(accuracy_key(p), [&] {
+double Evaluator::error_for(const DesignPoint& p, const PointKey& key) {
+  return accuracy_tt_.lookup_or_compute(accuracy_key(key), [&] {
     return psum_error_proxy(workload(p.workload), p.psum, p.acc.pci,
                             opt_.seed);
   });
@@ -97,15 +103,15 @@ void Evaluator::fill_accuracy(
   // The missing keys, grouped per workload in first-seen order.
   struct Missing {
     std::string workload;
-    std::vector<std::string> keys;
+    std::vector<PointKey> keys;
     std::vector<ProxyQuery> queries;
   };
   std::vector<Missing> missing;
-  std::unordered_set<std::string> seen;
+  std::unordered_set<PointKey> seen;
   for (index_t i = 0; i < n; ++i) {
     const DesignPoint p = point_at(i);
     p.validate();
-    std::string key = accuracy_key(p);
+    const PointKey key = accuracy_key(PointKey::of(p));
     if (accuracy_tt_.contains(key) || !seen.insert(key).second) continue;
     auto m = std::find_if(missing.begin(), missing.end(), [&](const Missing& x) {
       return x.workload == p.workload;
@@ -114,7 +120,7 @@ void Evaluator::fill_accuracy(
       missing.push_back(Missing{p.workload, {}, {}});
       m = missing.end() - 1;
     }
-    m->keys.push_back(std::move(key));
+    m->keys.push_back(key);
     m->queries.push_back({p.psum, p.acc.pci});
   }
   if (missing.empty()) return;
@@ -162,12 +168,12 @@ WorkloadTelemetry Evaluator::telemetry_for(const DesignPoint& p) {
   return t;
 }
 
-EvalResult Evaluator::score(const DesignPoint& p) {
+EvalResult Evaluator::score(const DesignPoint& p, const PointKey& key) {
   p.validate();
   EvalResult r;
   r.point = p;
-  r.obj.area_um2 = area_for(p);
-  r.obj.error = error_for(p);
+  r.obj.area_um2 = area_for(p, key);
+  r.obj.error = error_for(p, key);
   const PerfScore s = perf_score_for(p);
   r.obj.energy_pj = energy_for(p);
   r.obj.latency_s = s.latency_s;
@@ -189,7 +195,8 @@ EvalResult Evaluator::score(const DesignPoint& p) {
 }
 
 EvalResult Evaluator::evaluate_point(const DesignPoint& p, EvalBackend) {
-  return score_tt_.lookup_or_compute(canonical_key(p), [&] { return score(p); });
+  const PointKey key = PointKey::of(p);
+  return score_tt_.lookup_or_compute(key, [&] { return score(p, key); });
 }
 
 std::vector<EvalResult> Evaluator::evaluate_points_at(

@@ -13,12 +13,17 @@
 // (tests/sim/counts_vs_analytical_test.cpp for traffic,
 // tests/sim/sim_vs_analytic_test.cpp for energy, cycles and latency).
 //
-// Two sub-evaluations are memoized under canonical sub-keys: area depends
-// only on the accelerator geometry and the accuracy proxy only on
-// (workload, psum, pci), so a cartesian sweep reuses the overwhelming
-// majority of both. Energy and latency depend on every field of the
-// point, so they are computed afresh on each score_tt_ miss; a repeated
-// point is answered whole by score_tt_ (evaluate_point). The accuracy
+// Every memo is keyed by the point's PointKey (design_point.hpp), a
+// fixed-size struct exact for any DesignPoint — from any space or from a
+// daemon request — so no string is formatted on the scoring path. Two
+// sub-evaluations are memoized under sub-keys projected from it (the
+// fields they ignore zeroed): area depends only on the accelerator
+// geometry, buffers, precisions and whether an RAE exists, and the
+// accuracy proxy only on (workload, psum, pci), so a cartesian sweep
+// reuses the overwhelming majority of both. Energy and latency depend on
+// every field of the point, so they are computed afresh on each score_tt_
+// miss; a repeated point is answered whole by score_tt_
+// (evaluate_point). The accuracy
 // keys a batch (evaluate_space / evaluate_points / evaluate_points_at)
 // lacks are scored up front as one proxy batch per workload
 // (accuracy_proxy.hpp); the point loop then only reads the table. All
@@ -79,7 +84,7 @@ class Evaluator {
 
   /// The point-at-a-time scoring oracle: score one point, memoized
   /// whole-result in the shared transposition table under the point's
-  /// canonical key. Thread-safe and pure, so parallel search workers
+  /// PointKey. Thread-safe and pure, so parallel search workers
   /// hitting overlapping points pay each score once.
   EvalResult evaluate_point(const DesignPoint& p, EvalBackend fidelity);
 
@@ -120,8 +125,9 @@ class Evaluator {
   };
 
   double energy_for(const DesignPoint& p);
-  double area_for(const DesignPoint& p);
-  double error_for(const DesignPoint& p);
+  /// `key` is PointKey::of(p); the sub-tables key by projections of it.
+  double area_for(const DesignPoint& p, const PointKey& key);
+  double error_for(const DesignPoint& p, const PointKey& key);
   /// Score every accuracy key the points point_at(0 … n-1) need and the
   /// table lacks, before a batch's point loop: one proxy batch per
   /// workload, its representative layers scored in parallel, so the loop
@@ -130,7 +136,7 @@ class Evaluator {
                      const std::function<DesignPoint(index_t)>& point_at);
   PerfScore perf_score_for(const DesignPoint& p);
   /// Score one point from scratch (the score_tt_ miss path).
-  EvalResult score(const DesignPoint& p);
+  EvalResult score(const DesignPoint& p, const PointKey& key);
   /// Index loop over points: inline when threads == 1, on the shared pool
   /// otherwise.
   void parallel_for_points(index_t n, const std::function<void(index_t)>& fn);
@@ -138,9 +144,9 @@ class Evaluator {
   EvaluatorOptions opt_;
   // Every memo is one sharded TranspositionTable (dse/tt.hpp): the two
   // sub-evaluation tables plus the whole-result oracle table.
-  TranspositionTable<double> area_tt_;
-  TranspositionTable<double> accuracy_tt_;
-  TranspositionTable<EvalResult> score_tt_;
+  TranspositionTable<PointKey, double> area_tt_;
+  TranspositionTable<PointKey, double> accuracy_tt_;
+  TranspositionTable<PointKey, EvalResult> score_tt_;
 };
 
 }  // namespace apsq::dse

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <numeric>
 #include <string>
+#include <unordered_set>
+#include <utility>
 
 #include "common/check.hpp"
 
@@ -12,10 +15,10 @@ namespace apsq::dse {
 bool is_dominated(const EvalResult& candidate,
                   const std::vector<EvalResult>& points,
                   const ObjectiveSet& objectives) {
-  const std::string key = canonical_key(candidate.point);
+  const PointKey key = PointKey::of(candidate.point);
   for (const EvalResult& other : points) {
     if (!dominates(other.obj, candidate.obj, objectives)) continue;
-    if (canonical_key(other.point) == key) continue;
+    if (PointKey::of(other.point) == key) continue;
     return true;
   }
   return false;
@@ -23,84 +26,91 @@ bool is_dominated(const EvalResult& candidate,
 
 namespace {
 
-/// Lexicographic order over the active objectives in minimized space. A
-/// dominator is ≤ the dominated point in every active objective and < in
-/// at least one, so it sorts strictly earlier — the invariant the sweep
-/// in pareto_front builds on. (This is also why non-finite objectives are
-/// rejected: NaN breaks both this order and dominance transitivity.)
-bool objectives_less(const Objectives& a, const Objectives& b,
-                     const ObjectiveSet& objectives) {
-  for (Objective o : objectives.list()) {
-    const double av = a.minimized(o), bv = b.minimized(o);
-    if (av != bv) return av < bv;
+/// Strict dominance between two rows of `k` minimized objective values.
+bool row_dominates(const double* a, const double* b, size_t k) {
+  bool strictly_better = false;
+  for (size_t j = 0; j < k; ++j) {
+    if (a[j] > b[j]) return false;
+    if (a[j] < b[j]) strictly_better = true;
   }
-  return false;
+  return strictly_better;
 }
 
-/// Candidates in canonical-key order with exact duplicate configurations
-/// collapsed to the first occurrence.
-std::vector<const EvalResult*> deduped_in_key_order(
-    const std::vector<EvalResult>& points) {
+/// Positions in `cands` of its non-dominated candidates, ascending.
+/// Exact duplicate configurations (equal PointKey) are first collapsed to
+/// their first occurrence.
+std::vector<size_t> nondominated(const std::vector<const EvalResult*>& cands,
+                                 const ObjectiveSet& objectives) {
+  const std::vector<Objective>& list = objectives.list();
+  for (const EvalResult* c : cands)
+    for (const Objective o : list)
+      APSQ_CHECK_MSG(std::isfinite(c->obj.get(o)),
+                     "non-finite " << to_string(o)
+                                   << " in pareto_front candidate "
+                                   << canonical_key(c->point));
+  std::unordered_set<PointKey> seen;
+  seen.reserve(cands.size());
+  std::vector<size_t> unique;
+  unique.reserve(cands.size());
+  for (size_t i = 0; i < cands.size(); ++i)
+    if (seen.insert(PointKey::of(cands[i]->point)).second) unique.push_back(i);
+
+  // One flat row of minimized values per candidate, so the sort and the
+  // sweep read contiguous doubles instead of switching per objective.
+  const size_t k = list.size();
+  std::vector<double> rows(unique.size() * k);
+  for (size_t u = 0; u < unique.size(); ++u)
+    for (size_t j = 0; j < k; ++j)
+      rows[u * k + j] = cands[unique[u]]->obj.minimized(list[j]);
+
+  // Sweep in ascending lexicographic objective order: any dominator of a
+  // point sorts strictly before it, and (by transitivity over finite
+  // values) every dominated point is dominated by a member of the front
+  // built so far. Each candidate is therefore compared against that
+  // front — typically far smaller than the candidate set — and the scan
+  // stops at the first dominator found. Ties in the order never change
+  // the surviving set.
+  std::vector<size_t> order(unique.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const double* ra = rows.data() + a * k;
+    const double* rb = rows.data() + b * k;
+    for (size_t j = 0; j < k; ++j)
+      if (ra[j] != rb[j]) return ra[j] < rb[j];
+    return a < b;
+  });
+  std::vector<double> front_rows;
+  std::vector<size_t> survivors;
+  for (const size_t u : order) {
+    const double* row = rows.data() + u * k;
+    bool dominated = false;
+    for (size_t f = 0; f < front_rows.size() && !dominated; f += k)
+      dominated = row_dominates(front_rows.data() + f, row, k);
+    if (dominated) continue;
+    front_rows.insert(front_rows.end(), row, row + k);
+    survivors.push_back(unique[u]);
+  }
+  std::sort(survivors.begin(), survivors.end());
+  return survivors;
+}
+
+/// The front of `cands` in canonical-key order — the only place a
+/// canonical_key is built, and only for survivors.
+std::vector<EvalResult> front_in_key_order(
+    const std::vector<const EvalResult*>& cands,
+    const ObjectiveSet& objectives) {
   struct Keyed {
     std::string key;
     const EvalResult* result;
   };
-  std::vector<Keyed> sorted;
-  sorted.reserve(points.size());
-  for (const EvalResult& p : points)
-    sorted.push_back({canonical_key(p.point), &p});
-  std::stable_sort(sorted.begin(), sorted.end(),
+  std::vector<Keyed> keyed;
+  for (const size_t s : nondominated(cands, objectives))
+    keyed.push_back({canonical_key(cands[s]->point), cands[s]});
+  std::stable_sort(keyed.begin(), keyed.end(),
                    [](const Keyed& a, const Keyed& b) { return a.key < b.key; });
-  std::vector<const EvalResult*> candidates;
-  candidates.reserve(sorted.size());
-  const std::string* prev_key = nullptr;
-  for (const Keyed& cand : sorted) {
-    if (prev_key && cand.key == *prev_key) continue;  // exact duplicate config
-    prev_key = &cand.key;
-    candidates.push_back(cand.result);
-  }
-  return candidates;
-}
-
-/// The dominance filter of pareto_front over already-validated, deduped,
-/// key-ordered candidates. Survivors come back in key order.
-std::vector<const EvalResult*> front_of(
-    const std::vector<const EvalResult*>& candidates,
-    const ObjectiveSet& objectives) {
-  // Sweep in ascending lexicographic objective order: any dominator of a
-  // point sorts strictly before it, and (by transitivity over finite
-  // values) every dominated point is dominated by a member of the
-  // incremental front. Each candidate is therefore compared against the
-  // front built so far — typically far smaller than the candidate set —
-  // instead of every other point, and the scan stops at the first
-  // dominator found.
-  std::vector<size_t> order(candidates.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    return objectives_less(candidates[a]->obj, candidates[b]->obj, objectives);
-  });
-
-  std::vector<bool> dominated(candidates.size(), false);
-  std::vector<size_t> front_members;  // sweep order, non-dominated so far
-  for (const size_t idx : order) {
-    bool dom = false;
-    for (const size_t f : front_members) {
-      if (dominates(candidates[f]->obj, candidates[idx]->obj, objectives)) {
-        dom = true;
-        break;
-      }
-    }
-    if (dom)
-      dominated[idx] = true;
-    else
-      front_members.push_back(idx);
-  }
-
-  // Emit survivors in key order — byte-identical to the full O(n²) scan.
-  std::vector<const EvalResult*> front;
-  front.reserve(front_members.size());
-  for (size_t i = 0; i < candidates.size(); ++i)
-    if (!dominated[i]) front.push_back(candidates[i]);
+  std::vector<EvalResult> front;
+  front.reserve(keyed.size());
+  for (const Keyed& k : keyed) front.push_back(*k.result);
   return front;
 }
 
@@ -108,37 +118,60 @@ std::vector<const EvalResult*> front_of(
 
 std::vector<EvalResult> pareto_front(const std::vector<EvalResult>& points,
                                      const ObjectiveSet& objectives) {
-  // Sort by precomputed key first: the filter below then emits the front
-  // in key order no matter how the caller ordered the input, and exact
-  // duplicate configurations collapse to one candidate.
-  for (const EvalResult& p : points)
-    for (const Objective o : objectives.list())
-      APSQ_CHECK_MSG(std::isfinite(p.obj.get(o)),
-                     "non-finite " << to_string(o)
-                                   << " in pareto_front candidate "
-                                   << canonical_key(p.point));
-  const std::vector<const EvalResult*> candidates =
-      deduped_in_key_order(points);
-  const std::vector<const EvalResult*> survivors =
-      front_of(candidates, objectives);
-  std::vector<EvalResult> front;
-  front.reserve(survivors.size());
-  for (const EvalResult* s : survivors) front.push_back(*s);
-  return front;
+  std::vector<const EvalResult*> cands;
+  cands.reserve(points.size());
+  for (const EvalResult& p : points) cands.push_back(&p);
+  return front_in_key_order(cands, objectives);
 }
 
 std::vector<EvalResult> pareto_front_by_workload(
     const std::vector<EvalResult>& points, const ObjectiveSet& objectives) {
-  std::map<std::string, std::vector<EvalResult>> groups;  // sorted by name
-  for (const EvalResult& p : points) groups[p.point.workload].push_back(p);
+  // Sorted by name; points arrive in runs of one workload, so the map is
+  // searched once per run, not once per point.
+  std::map<std::string, std::vector<const EvalResult*>> groups;
+  std::pair<const std::string, std::vector<const EvalResult*>>* group =
+      nullptr;
+  for (const EvalResult& p : points) {
+    if (group == nullptr || group->first != p.point.workload)
+      group = &*groups.try_emplace(p.point.workload).first;
+    group->second.push_back(&p);
+  }
   std::vector<EvalResult> out;
-  for (const auto& [name, group] : groups) {
+  for (const auto& [name, cands] : groups) {
     (void)name;
-    std::vector<EvalResult> front = pareto_front(group, objectives);
+    std::vector<EvalResult> front = front_in_key_order(cands, objectives);
     out.insert(out.end(), std::make_move_iterator(front.begin()),
                std::make_move_iterator(front.end()));
   }
   return out;
+}
+
+IncrementalFront::IncrementalFront(ObjectiveSet objectives)
+    : objectives_(std::move(objectives)) {}
+
+bool IncrementalFront::merge(const std::vector<Candidate>& batch) {
+  // Members go first, so a candidate repeating a member's point is the
+  // duplicate that collapses.
+  const size_t old = members_.size();
+  std::vector<const EvalResult*> cands;
+  cands.reserve(old + batch.size());
+  for (const Member& m : members_) cands.push_back(&m.result);
+  for (const Candidate& c : batch) cands.push_back(c.result);
+  const std::vector<size_t> survivors = nondominated(cands, objectives_);
+  // Survivors are ascending: the membership is unchanged iff exactly the
+  // `old` members survived.
+  const bool changed =
+      survivors.size() != old || (!survivors.empty() && survivors.back() >= old);
+  std::vector<Member> next;
+  next.reserve(survivors.size());
+  for (const size_t s : survivors) {
+    if (s < old)
+      next.push_back(std::move(members_[s]));
+    else
+      next.push_back({batch[s - old].tag, *batch[s - old].result});
+  }
+  members_ = std::move(next);
+  return changed;
 }
 
 }  // namespace apsq::dse

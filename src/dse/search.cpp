@@ -3,7 +3,7 @@
 #include <chrono>
 #include <set>
 #include <stdexcept>
-#include <unordered_map>
+#include <string>
 #include <utility>
 
 #include "common/check.hpp"
@@ -20,17 +20,6 @@ constexpr int kStableRounds = 2;
 
 double secs_since(clock_t_::time_point t0) {
   return std::chrono::duration<double>(clock_t_::now() - t0).count();
-}
-
-/// Front-membership keys of the per-workload Pareto front — keys alone
-/// decide front stability (scores are memoized and pure, so a point's
-/// objectives are byte-identical in every round it appears).
-std::vector<std::string> front_keys(const std::vector<EvalResult>& results,
-                                    const ObjectiveSet& objectives) {
-  std::vector<std::string> keys;
-  for (const EvalResult& f : pareto_front_by_workload(results, objectives))
-    keys.push_back(canonical_key(f.point));
-  return keys;
 }
 
 }  // namespace
@@ -97,26 +86,38 @@ std::map<index_t, EvalResult> SearchDriver::run() {
   };
 
   std::map<index_t, EvalResult> archive;
-  std::unordered_map<std::string, index_t> key_to_index;
+  // The live per-workload front of everything archived so far, keyed by
+  // workload name. Each member's tag is the index that first scored its
+  // point: the index its neighbours are generated from.
+  std::map<std::string, IncrementalFront> fronts;
   i64 remaining = opt_.budget;
+  // Score a batch, archive it and merge it into the live front. Returns
+  // true iff the front's membership changed.
   const auto score_batch = [&](const std::vector<index_t>& batch) {
     std::vector<DesignPoint> pts;
     pts.reserve(batch.size());
     for (index_t i : batch) pts.push_back(space_.at(i));
-    const std::vector<EvalResult> scored =
+    std::vector<EvalResult> scored =
         eval_.evaluate_points_at(pts, EvalBackend::kAnalytic);
+    std::map<std::string, std::vector<IncrementalFront::Candidate>> grouped;
     for (size_t j = 0; j < batch.size(); ++j) {
-      key_to_index.emplace(canonical_key(scored[j].point), batch[j]);
-      archive.emplace(batch[j], scored[j]);
+      const EvalResult& r =
+          archive.emplace(batch[j], std::move(scored[j])).first->second;
+      grouped[r.point.workload].push_back({batch[j], &r});
     }
     remaining -= static_cast<i64>(batch.size());
     stats_.evaluated += static_cast<index_t>(batch.size());
+    bool changed = false;
+    for (const auto& [workload, cands] : grouped)
+      changed |= fronts.try_emplace(workload, opt_.objectives)
+                     .first->second.merge(cands);
+    return changed;
   };
-  const auto archive_values = [&] {
-    std::vector<EvalResult> v;
-    v.reserve(archive.size());
-    for (const auto& [i, r] : archive) v.push_back(r);
-    return v;
+  const auto front_size = [&] {
+    index_t size = 0;
+    for (const auto& [workload, front] : fronts)
+      size += static_cast<index_t>(front.size());
+    return size;
   };
 
   // Seed generation: a stratified sample sized a quarter of the budget
@@ -131,15 +132,12 @@ std::map<index_t, EvalResult> SearchDriver::run() {
     SearchRoundStats rs;
     rs.candidates = seeds;
     rs.evaluated_new = seeds;
-    std::vector<std::string> front = front_keys(archive_values(), opt_.objectives);
-    rs.front_size = static_cast<index_t>(front.size());
+    rs.front_size = front_size();
     rs.front_changed = true;
     rs.secs = secs_since(r0);
     stats_.rounds.push_back(rs);
   }
 
-  std::vector<std::string> prev_front =
-      front_keys(archive_values(), opt_.objectives);
   int stable = 0;
   for (u64 round = 1; remaining > 0; ++round) {
     const auto r0 = clock_t_::now();
@@ -147,18 +145,16 @@ std::map<index_t, EvalResult> SearchDriver::run() {
     // front, plus random injections to keep exploring. std::set gives a
     // deduped, ascending — hence deterministic — candidate order.
     std::set<index_t> candidates;
-    for (const EvalResult& f :
-         pareto_front_by_workload(archive_values(), opt_.objectives)) {
-      const auto it = key_to_index.find(canonical_key(f.point));
-      APSQ_CHECK_MSG(it != key_to_index.end(),
-                     "front member missing from the search archive");
-      const std::vector<index_t> d = digits_of(it->second);
-      for (size_t a = 0; a < radix.size(); ++a) {
-        for (index_t step : {index_t{-1}, index_t{1}}) {
-          if (d[a] + step < 0 || d[a] + step >= radix[a]) continue;
-          std::vector<index_t> nd = d;
-          nd[a] += step;
-          candidates.insert(index_of(nd));
+    for (const auto& [workload, front] : fronts) {
+      for (const IncrementalFront::Member& m : front.members()) {
+        const std::vector<index_t> d = digits_of(m.tag);
+        for (size_t a = 0; a < radix.size(); ++a) {
+          for (index_t step : {index_t{-1}, index_t{1}}) {
+            if (d[a] + step < 0 || d[a] + step >= radix[a]) continue;
+            std::vector<index_t> nd = d;
+            nd[a] += step;
+            candidates.insert(index_of(nd));
+          }
         }
       }
     }
@@ -176,17 +172,13 @@ std::map<index_t, EvalResult> SearchDriver::run() {
       batch.push_back(c);
     }
     if (batch.empty()) break;  // neighbourhood exhausted, budget unspent
-    score_batch(batch);
 
     SearchRoundStats rs;
     rs.candidates = considered;
     rs.evaluated_new = static_cast<index_t>(batch.size());
-    std::vector<std::string> front =
-        front_keys(archive_values(), opt_.objectives);
-    rs.front_size = static_cast<index_t>(front.size());
-    rs.front_changed = front != prev_front;
+    rs.front_changed = score_batch(batch);
+    rs.front_size = front_size();
     rs.secs = secs_since(r0);
-    prev_front = std::move(front);
     stats_.rounds.push_back(rs);
     stable = rs.front_changed ? 0 : stable + 1;
     if (stable >= kStableRounds) break;

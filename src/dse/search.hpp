@@ -7,7 +7,9 @@
 // twice): a stratified seed batch, then rounds of ±1-step neighbours of
 // the current per-workload front plus random injections, batch-scored
 // until the budget is spent, the front is stable, or no unseen candidate
-// remains.
+// remains. The front is kept live: each scored batch is merged into one
+// IncrementalFront per workload (pareto.hpp), so a round costs the
+// front plus the batch, not the whole archive.
 //
 // The search is deterministic given (seed, budget): candidate selection
 // is single-threaded and pure, randomness comes from

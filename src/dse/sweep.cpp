@@ -203,7 +203,10 @@ std::vector<EvalResult> extract_front(
     const std::vector<EvalResult>& results, size_t* global_front_size) {
   // Workload is a scenario, not a knob: the headline front is per
   // workload; the cross-workload (global) front is reported as a count.
-  const std::vector<EvalResult> basis = filter_results(results, constraints);
+  std::vector<EvalResult> filtered;
+  if (!constraints.empty()) filtered = filter_results(results, constraints);
+  const std::vector<EvalResult>& basis =
+      constraints.empty() ? results : filtered;
   if (global_front_size != nullptr)
     *global_front_size = pareto_front(basis, cfg.objectives).size();
   return pareto_front_by_workload(basis, cfg.objectives);
@@ -248,7 +251,7 @@ SweepOutcome SweepSession::run() {
   // denote exactly the point the space enumerates at its index.
   const auto stored = [&](index_t i, const EvalResult& r) -> const EvalResult& {
     const DesignPoint p = space_.at(i);
-    if (canonical_key(r.point) != canonical_key(p))
+    if (PointKey::of(r.point) != PointKey::of(p))
       throw std::runtime_error(source() + ": snapshot point " +
                                std::to_string(i) +
                                " does not match the space (stored " +

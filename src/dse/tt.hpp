@@ -1,16 +1,18 @@
 // Sharded, thread-safe transposition table: the one memoization mechanism
 // behind every Evaluator sub-cache and the point-score oracle parallel
-// searchers share. Keys are canonical strings (dse/design_point.hpp
-// canonical_key and its sub-key derivatives), values are computed at most
-// once per shard winner: lookup checks under the shard lock, computes
-// outside it, and the first inserter wins — a loser's identical value is
-// discarded and counted as a `race`, so results are schedule-independent
-// and only the counters vary. Sharding by key hash keeps 8–16 parallel
+// searchers share. The key type is a parameter; the Evaluator keys its
+// tables by PointKey (dse/design_point.hpp) and sub-keys projected from
+// it, so a lookup hashes a fixed-size struct instead of formatting a
+// string. Values are computed at most once per shard winner: lookup
+// checks under the shard lock, computes outside it, and the first
+// inserter wins — a loser's identical value is discarded and counted as a
+// `race`, so results are schedule-independent and only the counters
+// vary. Sharding by key hash keeps 8–16 parallel
 // searchers from serializing on one mutex.
 #pragma once
 
+#include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -36,7 +38,7 @@ struct CacheStats {
   i64 lookups() const { return hits + misses + races; }
 };
 
-template <typename V>
+template <typename K, typename V, typename Hash = std::hash<K>>
 class TranspositionTable {
  public:
   /// `shard_count` is rounded up to a power of two (mask-selectable).
@@ -51,7 +53,7 @@ class TranspositionTable {
   /// (outside any lock) on a miss. First writer wins; every path returns
   /// the table's value.
   template <typename Fn>
-  V lookup_or_compute(const std::string& key, Fn&& compute) {
+  V lookup_or_compute(const K& key, Fn&& compute) {
     Shard& s = shard_for(key);
     {
       MutexLock lock(s.mu);
@@ -72,7 +74,7 @@ class TranspositionTable {
   }
 
   /// True iff `key` is memoized. Counts nothing.
-  bool contains(const std::string& key) const {
+  bool contains(const K& key) const {
     Shard& s = shard_for(key);
     MutexLock lock(s.mu);
     return s.map.count(key) != 0;
@@ -80,7 +82,7 @@ class TranspositionTable {
 
   /// Memoize a value computed ahead of its lookups (a batch fill). First
   /// writer wins, as in lookup_or_compute.
-  void fill(const std::string& key, V value) {
+  void fill(const K& key, V value) {
     Shard& s = shard_for(key);
     MutexLock lock(s.mu);
     if (s.map.emplace(key, std::move(value)).second)
@@ -118,15 +120,14 @@ class TranspositionTable {
   /// under Clang -Wthread-safety, not a TSan-lottery ticket.
   struct Shard {
     mutable Mutex mu;
-    std::unordered_map<std::string, V> map APSQ_GUARDED_BY(mu);
+    std::unordered_map<K, V, Hash> map APSQ_GUARDED_BY(mu);
     CacheStats stats APSQ_GUARDED_BY(mu);
   };
 
-  Shard& shard_for(const std::string& key) const {
+  Shard& shard_for(const K& key) const {
     // Shard choice only spreads contention — it never affects results —
-    // so std::hash is fine even though it is not specified across
-    // implementations.
-    const size_t h = std::hash<std::string>{}(key);
+    // so any hash with well-mixed low bits will do.
+    const size_t h = Hash{}(key);
     return *shards_[h & (shards_.size() - 1)];
   }
 

@@ -1,10 +1,13 @@
 #include "serve/server.hpp"
 
+#include <algorithm>
+#include <chrono>
 #include <fstream>
 #include <istream>
 #include <map>
 #include <ostream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -52,6 +55,9 @@ i64 serve_stream(Dispatcher& dispatcher, std::istream& in, std::ostream& out) {
 #ifndef _WIN32
 
 namespace {
+
+/// How long the accept loop sleeps after a failed accept().
+constexpr std::chrono::milliseconds kAcceptBackoff{10};
 
 /// Shared between the accept loop and the per-connection threads: the
 /// open sockets, so a shutdown command can unblock every blocked read,
@@ -202,13 +208,30 @@ int serve_tcp(Dispatcher& dispatcher, const ServeOptions& opts) {
         if (fd >= 0) ::close(fd);
         break;
       }
-      if (fd < 0) continue;  // transient accept failure; keep serving
-      state.conn_fds.push_back(fd);
+      if (fd >= 0) state.conn_fds.push_back(fd);
     }
-    std::thread t(
-        [&dispatcher, &state, fd] { serve_connection(dispatcher, state, fd); });
-    const std::thread::id id = t.get_id();
-    threads.emplace(id, std::move(t));
+    if (fd < 0) {
+      // Keep serving, but back off: a failure like EMFILE leaves the
+      // pending connection queued, so an immediate retry fails again and
+      // the loop would spin a core until an fd frees up.
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
+    }
+    try {
+      std::thread t([&dispatcher, &state, fd] {
+        serve_connection(dispatcher, state, fd);
+      });
+      const std::thread::id id = t.get_id();
+      threads.emplace(id, std::move(t));
+    } catch (const std::system_error&) {
+      // No thread for this connection (e.g. at the thread limit): drop it
+      // and keep serving the live ones.
+      ::close(fd);
+      MutexLock lock(state.mu);
+      state.conn_fds.erase(
+          std::remove(state.conn_fds.begin(), state.conn_fds.end(), fd),
+          state.conn_fds.end());
+    }
   }
   ::close(listen_fd);
   for (auto& [id, t] : threads) t.join();

@@ -5,10 +5,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
+#include "dse/report.hpp"
 
 namespace apsq::dse {
 namespace {
@@ -182,6 +186,25 @@ TEST(ParetoFront, ExactDuplicateConfigCollapsed) {
   EXPECT_EQ(pareto_front(pts).size(), 1u);
 }
 
+TEST(ParetoFront, DuplicateConfigKeepsFirstInputOccurrence) {
+  // Hand-built duplicates may disagree on objectives; the first in input
+  // order is the one kept, in either order.
+  const EvalResult worse = make("w", 4, 1, 2.0, 2.0, 2.0);
+  const EvalResult better = make("w", 4, 1, 1.0, 1.0, 1.0);
+  std::vector<EvalResult> front = pareto_front({worse, better});
+  ASSERT_EQ(front.size(), 1u);
+  EXPECT_EQ(front[0].obj.energy_pj, 2.0);
+  front = pareto_front({better, worse});
+  ASSERT_EQ(front.size(), 1u);
+  EXPECT_EQ(front[0].obj.energy_pj, 1.0);
+  // Dedupe happens before dominance: the kept first occurrence is
+  // dominated here, and the later, better copy does not stand in for it.
+  const EvalResult other = make("w", 6, 1, 1.5, 1.5, 1.5);
+  front = pareto_front({worse, other, better});
+  ASSERT_EQ(front.size(), 1u);
+  EXPECT_EQ(front[0].point.psum.psum_bits, 6);
+}
+
 TEST(ParetoFront, SingletonAndEmpty) {
   EXPECT_TRUE(pareto_front({}).empty());
   const std::vector<EvalResult> one = {make("w", 8, 1, 1, 1, 1)};
@@ -352,6 +375,85 @@ TEST(ParetoFront, SweepPrefilterMatchesBruteForceScan) {
           EXPECT_EQ(fast[i].obj.get(static_cast<Objective>(k)),
                     slow[i].obj.get(static_cast<Objective>(k)));
       }
+    }
+  }
+}
+
+TEST(IncrementalFront, RandomBatchSplitsMatchTheBatchFront) {
+  // Merging points batch by batch into one live front per workload must
+  // give the byte-identical front pareto_front_by_workload extracts from
+  // all of them at once. Points are drawn with replacement from a pool of
+  // configurations whose objectives sit on a coarse grid, so the stream
+  // repeats points (with their objectives, as a memoized scorer does) and
+  // ties objectives across distinct points.
+  Rng rng(0x1AC4E);
+  for (const char* objs : {"energy,area,error,latency", "energy,latency",
+                           "energy", "area,error"}) {
+    const ObjectiveSet objectives = ObjectiveSet::parse(objs);
+    for (int round = 0; round < 6; ++round) {
+      std::vector<EvalResult> pool;
+      for (int i = 0; i < 30 + round * 20; ++i) {
+        EvalResult r = make(i % 3 == 0 ? "a" : i % 3 == 1 ? "b" : "c",
+                            4 + (i % 13), 1 + (i / 13), 0, 0, 0);
+        r.obj.energy_pj = std::floor(rng.uniform(0, 5));
+        r.obj.area_um2 = std::floor(rng.uniform(0, 5));
+        r.obj.error = std::floor(rng.uniform(0, 5));
+        r.obj.latency_s = std::floor(rng.uniform(0, 3));
+        pool.push_back(r);
+      }
+      std::vector<EvalResult> stream;
+      for (size_t i = 0; i < pool.size() * 2; ++i)
+        stream.push_back(pool[static_cast<size_t>(
+            rng.uniform_index(static_cast<index_t>(pool.size())))]);
+
+      std::map<std::string, IncrementalFront> fronts;
+      size_t pos = 0;
+      while (pos < stream.size()) {
+        const size_t len = 1 + static_cast<size_t>(rng.uniform_index(
+                                   static_cast<index_t>(stream.size() / 4)));
+        std::map<std::string, std::vector<IncrementalFront::Candidate>> batch;
+        for (size_t j = pos; j < std::min(stream.size(), pos + len); ++j)
+          batch[stream[j].point.workload].push_back(
+              {static_cast<index_t>(j), &stream[j]});
+        pos += len;
+        for (const auto& [wl, cands] : batch) {
+          IncrementalFront& f =
+              fronts.try_emplace(wl, objectives).first->second;
+          std::vector<std::string> before;
+          for (const auto& m : f.members())
+            before.push_back(canonical_key(m.result.point));
+          const bool changed = f.merge(cands);
+          std::vector<std::string> after;
+          for (const auto& m : f.members())
+            after.push_back(canonical_key(m.result.point));
+          std::sort(before.begin(), before.end());
+          std::sort(after.begin(), after.end());
+          EXPECT_EQ(changed, before != after) << objs << " round " << round;
+        }
+      }
+
+      std::vector<EvalResult> live;
+      for (const auto& [wl, f] : fronts) {
+        std::vector<IncrementalFront::Member> members = f.members();
+        std::sort(members.begin(), members.end(),
+                  [](const auto& x, const auto& y) {
+                    return canonical_key(x.result.point) <
+                           canonical_key(y.result.point);
+                  });
+        for (const auto& m : members) {
+          live.push_back(m.result);
+          // The tag is the stream position that first had the point.
+          size_t first = 0;
+          while (canonical_key(stream[first].point) !=
+                 canonical_key(m.result.point))
+            ++first;
+          EXPECT_EQ(m.tag, static_cast<index_t>(first));
+        }
+      }
+      EXPECT_EQ(results_csv(live).to_string(),
+                results_csv(pareto_front_by_workload(stream, objectives))
+                    .to_string())
+          << objs << " round " << round;
     }
   }
 }

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dse/pareto.hpp"
@@ -190,6 +193,93 @@ TEST(Search, FineSpaceSearchStaysSparse) {
   EXPECT_EQ(out.search.evaluated,
             static_cast<index_t>(out.results.size()));
   EXPECT_GT(out.front.size(), 0u);
+}
+
+/// FNV-1a (64-bit) of a CSV — a compact pin for a whole front's bytes.
+u64 fnv1a64(const std::string& s) {
+  u64 h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// What a trajectory pin records: the per-workload front's bytes, the
+/// per-workload and global front sizes, and each round's front size and
+/// charged evaluations.
+struct Trajectory {
+  u64 front_digest = 0;
+  size_t front = 0;
+  size_t global_front = 0;
+  std::vector<std::pair<index_t, index_t>> rounds;  ///< (front_size, evaluated_new)
+  size_t repeated_points = 0;  ///< rows whose point an earlier row has
+};
+
+Trajectory trajectory_of(const ConfigSpace& space, i64 budget, u64 seed) {
+  Evaluator eval;
+  SearchOptions opt;
+  opt.budget = budget;
+  opt.seed = seed;
+  SearchDriver driver(space, eval, opt);
+  std::vector<EvalResult> rows;
+  for (const auto& [i, r] : driver.run()) rows.push_back(r);
+  Trajectory t;
+  const std::vector<EvalResult> front = pareto_front_by_workload(rows);
+  t.front_digest = fnv1a64(results_csv(front, "analytic").to_string());
+  t.front = front.size();
+  t.global_front = pareto_front(rows).size();
+  for (const SearchRoundStats& rs : driver.stats().rounds)
+    t.rounds.emplace_back(rs.front_size, rs.evaluated_new);
+  std::set<std::string> keys;
+  for (const EvalResult& r : rows)
+    t.repeated_points += keys.insert(canonical_key(r.point)).second ? 0 : 1;
+  return t;
+}
+
+void expect_trajectory(const Trajectory& t, u64 digest, size_t front,
+                       size_t global_front,
+                       const std::vector<std::pair<index_t, index_t>>& rounds) {
+  std::ostringstream got;
+  got << std::hex << "0x" << t.front_digest << std::dec << " " << t.front
+      << " " << t.global_front << " {";
+  for (const auto& [f, e] : t.rounds) got << "{" << f << ", " << e << "}, ";
+  got << "}";
+  EXPECT_EQ(t.front_digest, digest) << got.str();
+  EXPECT_EQ(t.front, front) << got.str();
+  EXPECT_EQ(t.global_front, global_front) << got.str();
+  EXPECT_EQ(t.rounds, rounds) << got.str();
+}
+
+TEST(Search, FineSearchTrajectoryIsPinned) {
+  // Recorded before the search kept its front live: the front bytes, the
+  // front sizes and every round's accounting of a budget-8192 fine-space
+  // search must not move when selection internals change.
+  expect_trajectory(trajectory_of(ConfigSpace::fine_default(), 8192, 1),
+                    0x04baa60554331964ULL, 656, 202,
+                    {{279, 2048}, {600, 4473}, {656, 1671}});
+}
+
+TEST(Search, DuplicateDecodingTrajectoryIsPinned) {
+  // Two indices decode to one point here: the fine ifmap axis overrides
+  // the only field the two coarse buffer entries differ in. The first
+  // index that scored a point must stay the one its neighbours come from.
+  ConfigSpace space;
+  space.workloads = {"bert", "segformer"};
+  space.dataflows = {Dataflow::kIS, Dataflow::kWS, Dataflow::kOS};
+  space.psum_configs = ConfigSpace::default_psum_axis();
+  space.geometries = {PeGeometry{16, 8, 8}, PeGeometry{1, 32, 32},
+                      PeGeometry{4, 16, 16}};
+  space.buffers = {BufferSizing{256 * 1024, 256 * 1024, 128 * 1024},
+                   BufferSizing{128 * 1024, 256 * 1024, 128 * 1024}};
+  space.ifmap_bytes_axis = {64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024};
+  ASSERT_EQ(canonical_key(space.at(0)), canonical_key(space.at(4)));
+  const Trajectory t = trajectory_of(space, 1024, 1);
+  // The search did score some point under both of its indices.
+  EXPECT_GT(t.repeated_points, 0u);
+  expect_trajectory(t, 0x49f640f5daddefb0ULL, 30, 30,
+                    {{32, 256}, {25, 296}, {27, 181}, {27, 97}, {28, 66},
+                     {29, 61}, {30, 55}, {30, 12}});
 }
 
 }  // namespace

@@ -1,18 +1,23 @@
 // The TCP transport under long uptime and hostile input: connection
 // threads are joined while the server runs (sequential connection churn
-// leaves the process's virtual memory flat), and an oversized request
-// line is answered with an error and its connection closed, without
-// affecting later connections.
+// leaves the process's virtual memory flat), an oversized request line is
+// answered with an error and its connection closed, without affecting
+// later connections, and a server out of file descriptors waits for one
+// instead of spinning.
 #include "serve/server.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "dse/store.hpp"
 #include "serve/dispatcher.hpp"
@@ -20,7 +25,9 @@
 
 #ifndef _WIN32
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -33,7 +40,11 @@ namespace {
 /// A blocking line client for one connection to 127.0.0.1.
 class LineClient {
  public:
-  explicit LineClient(int port) : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+  explicit LineClient(int port)
+      : LineClient(port, ::socket(AF_INET, SOCK_STREAM, 0)) {}
+  /// Connect `fd`, a socket made earlier (e.g. while fds were still
+  /// free); the client owns it from here.
+  LineClient(int port, int fd) : fd_(fd) {
     if (fd_ < 0) throw std::runtime_error("socket() failed");
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -185,6 +196,103 @@ TEST(Server, OversizedRequestLineIsRejectedAndTheServerKeepsServing) {
   }
   LineClient fresh(server.port());
   EXPECT_NE(fresh.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
+            std::string::npos);
+}
+
+/// The highest open file descriptor of this process, or -1 where
+/// /proc/self/fd is unavailable.
+int highest_open_fd() {
+  DIR* dir = ::opendir("/proc/self/fd");
+  if (dir == nullptr) return -1;
+  int top = -1;
+  while (const dirent* e = ::readdir(dir)) {
+    char* end = nullptr;
+    const long fd = std::strtol(e->d_name, &end, 10);
+    if (end != e->d_name && *end == '\0') top = std::max(top, static_cast<int>(fd));
+  }
+  ::closedir(dir);
+  return top;
+}
+
+/// This process's user + system CPU time in milliseconds.
+double cpu_ms() {
+  rusage u{};
+  ::getrusage(RUSAGE_SELF, &u);
+  const auto ms = [](const timeval& t) {
+    return static_cast<double>(t.tv_sec) * 1e3 +
+           static_cast<double>(t.tv_usec) / 1e3;
+  };
+  return ms(u.ru_utime) + ms(u.ru_stime);
+}
+
+/// Lowers RLIMIT_NOFILE to a few fds above the highest open one and
+/// fills every free fd below it; the destructor closes the fillers and
+/// restores the limit, so the test server can still be shut down when an
+/// assertion fails midway.
+class FdExhaustion {
+ public:
+  explicit FdExhaustion(int model_fd) {
+    if (::getrlimit(RLIMIT_NOFILE, &old_) != 0) return;
+    rlimit low = old_;
+    low.rlim_cur = std::min<rlim_t>(
+        old_.rlim_cur, static_cast<rlim_t>(highest_open_fd() + 8));
+    if (::setrlimit(RLIMIT_NOFILE, &low) != 0) return;
+    lowered_ = true;
+    for (;;) {
+      const int fd = ::dup(model_fd);
+      if (fd < 0) {
+        exhausted_ = errno == EMFILE;
+        break;
+      }
+      fillers_.push_back(fd);
+    }
+  }
+  ~FdExhaustion() {
+    for (const int fd : fillers_) ::close(fd);
+    if (lowered_) ::setrlimit(RLIMIT_NOFILE, &old_);
+  }
+  FdExhaustion(const FdExhaustion&) = delete;
+  FdExhaustion& operator=(const FdExhaustion&) = delete;
+
+  /// True once every fd below the lowered limit is taken.
+  bool exhausted() const { return exhausted_; }
+
+  /// Free one fd.
+  void release_one() {
+    if (fillers_.empty()) return;
+    ::close(fillers_.back());
+    fillers_.pop_back();
+    exhausted_ = false;
+  }
+
+ private:
+  rlimit old_{};
+  bool lowered_ = false;
+  bool exhausted_ = false;
+  std::vector<int> fillers_;
+};
+
+TEST(Server, AcceptAtFdExhaustionBacksOffInsteadOfSpinning) {
+  // At EMFILE a pending connection stays queued, so every accept() fails
+  // at once; a loop that simply retries burns a core until an fd frees
+  // up. Hold the server there for ~300 ms (the limit is this process's —
+  // ctest runs each test in its own), bound the CPU time it spends, then
+  // free one fd and require the queued connection to be served.
+  TestServer server;
+  ASSERT_NE(server.port(), 0);
+  if (highest_open_fd() < 0) GTEST_SKIP() << "no /proc/self/fd";
+  // The client's socket must exist before the fds run out.
+  const int sock = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(sock, 0);
+  FdExhaustion squeeze(sock);
+  ASSERT_TRUE(squeeze.exhausted());
+  LineClient client(server.port(), sock);  // queued: accept() has no fd
+  const double cpu0 = cpu_ms();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double spent = cpu_ms() - cpu0;
+  EXPECT_LT(spent, 100.0) << "the accept loop spun at EMFILE";
+  squeeze.release_one();
+  EXPECT_NE(client.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
             std::string::npos);
 }
 
