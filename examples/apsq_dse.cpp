@@ -4,9 +4,11 @@
 // Sweeps dataflow × PSUM handling × PE geometry × buffer sizing across the
 // paper's four workloads, scores every point with the closed-form models
 // at full workload scale, and extracts the Pareto front over a selectable
-// objective subset. The orchestration itself lives in the library
-// (dse/sweep.hpp); this binary is flag parsing, SweepConfig construction,
-// and report printing:
+// objective subset. The orchestration lives in the library
+// (dse/sweep.hpp), and so does the request grammar (dse/request.hpp):
+// every sweep flag fills the same RequestSpec a --jobs experiment or a
+// daemon query does. This binary parses its report-only flags and prints
+// the report:
 //
 //   apsq_dse                                  # paper_default space, all cores
 //   apsq_dse --threads 4 --csv points.csv --front-csv front.csv
@@ -34,8 +36,8 @@
 #include "common/stats_writer.hpp"
 #include "common/thread_pool.hpp"
 #include "dse/evaluator.hpp"
-#include "dse/jobspec.hpp"
 #include "dse/report.hpp"
+#include "dse/request.hpp"
 #include "dse/store.hpp"
 #include "dse/sweep.hpp"
 
@@ -45,8 +47,8 @@ using namespace apsq::dse;
 namespace {
 
 struct Options {
-  /// The sweep + report shape — the same validated object a --jobs
-  /// experiment or a daemon request deserializes into.
+  /// The sweep + report shape — the same object a --jobs experiment or a
+  /// daemon query fills.
   RequestSpec req;
   std::string jobs_path;
   std::string layer_stats_csv_path;
@@ -97,7 +99,7 @@ void print_help() {
       "  --store-out PATH  snapshot the evaluated space to PATH afterwards\n"
       "  --jobs PATH       run the JSON job spec's experiments in one\n"
       "                    process, sharing one evaluated-space store (see\n"
-      "                    dse/jobspec.hpp; not combinable with other flags)\n"
+      "                    dse/request.hpp; not combinable with other flags)\n"
       "  --threads N       width of the process-wide worker pool (default:\n"
       "                    hardware concurrency; 1 = fully serial; an\n"
       "                    explicit APSQ_POOL_THREADS env var wins)\n"
@@ -125,12 +127,14 @@ void print_help() {
 bool parse(int argc, char** argv, Options& o) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
+    const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     auto next = [&](const char* flag) -> const char* {
-      if (i + 1 >= argc) {
+      if (value == nullptr) {
         std::cerr << "missing value for " << flag << "\n";
         return nullptr;
       }
-      return argv[++i];
+      ++i;
+      return value;
     };
     if (a != "--help" && a != "-h" && a != "--jobs") o.non_jobs_flag = true;
     if (a == "--help" || a == "-h") {
@@ -141,80 +145,6 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next("--jobs");
       if (!v) return false;
       o.jobs_path = v;
-    } else if (a == "--space") {
-      const char* v = next("--space");
-      if (!v) return false;
-      o.req.config.space = v;
-    } else if (a == "--mode") {
-      const char* v = next("--mode");
-      if (!v || !parse_enum_flag("--mode", v, parse_run_mode, o.req.config.mode))
-        return false;
-    } else if (a == "--strategy") {
-      const char* v = next("--strategy");
-      if (!v || !parse_enum_flag("--strategy", v, parse_strategy,
-                                 o.req.config.strategy))
-        return false;
-      o.req.config.strategy_set = true;
-    } else if (a == "--budget") {
-      const char* v = next("--budget");
-      // A budget of 0 would evaluate nothing and report an empty front —
-      // reject it as out of range.
-      if (!v ||
-          !parse_i64_flag("--budget", v, 1, i64{1} << 40, o.req.config.budget))
-        return false;
-      o.req.config.budget_set = true;
-    } else if (a == "--search-seed") {
-      const char* v = next("--search-seed");
-      if (!v || !parse_u64_flag("--search-seed", v, o.req.config.search_seed))
-        return false;
-      o.req.config.search_seed_set = true;
-    } else if (a == "--backend") {
-      const char* v = next("--backend");
-      // Validate at parse time: an unrecognized backend must exit 1 with
-      // the flag named, never fall back to a default sweep.
-      EvalBackend backend = EvalBackend::kAnalytic;
-      if (!v || !parse_enum_flag("--backend", v, parse_backend, backend))
-        return false;
-    } else if (a == "--objectives") {
-      const char* v = next("--objectives");
-      if (!v || !parse_enum_flag("--objectives", v, ObjectiveSet::parse,
-                                 o.req.config.objectives))
-        return false;
-    } else if (a == "--where") {
-      const char* v = next("--where");
-      if (!v) return false;
-      // Reject a malformed filter at parse time with the flag named, like
-      // every other flag value.
-      try {
-        parse_constraints(v);
-      } catch (const std::exception& e) {
-        std::cerr << "--where: " << e.what() << "\n";
-        return false;
-      }
-      o.req.config.where = v;
-    } else if (a == "--store-in") {
-      const char* v = next("--store-in");
-      if (!v) return false;
-      o.req.config.store_in = v;
-    } else if (a == "--store-out") {
-      const char* v = next("--store-out");
-      if (!v) return false;
-      o.req.config.store_out = v;
-    } else if (a == "--threads") {
-      const char* v = next("--threads");
-      if (!v || !parse_int_flag("--threads", v, 1, 4096, o.req.config.threads))
-        return false;
-    } else if (a == "--seed") {
-      const char* v = next("--seed");
-      if (!v || !parse_u64_flag("--seed", v, o.req.config.seed)) return false;
-    } else if (a == "--csv") {
-      const char* v = next("--csv");
-      if (!v) return false;
-      o.req.csv = v;
-    } else if (a == "--front-csv") {
-      const char* v = next("--front-csv");
-      if (!v) return false;
-      o.req.front_csv = v;
     } else if (a == "--layer-stats-csv") {
       const char* v = next("--layer-stats-csv");
       if (!v) return false;
@@ -231,14 +161,21 @@ bool parse(int argc, char** argv, Options& o) {
       const char* v = next("--stats-json");
       if (!v) return false;
       o.stats_json_path = v;
-    } else if (a == "--top") {
-      const char* v = next("--top");
-      if (!v || !parse_int_flag("--top", v, 0, 1 << 20, o.req.top)) return false;
     } else if (a == "--verify-serial") {
       o.verify_serial = true;
     } else {
-      std::cerr << "unknown flag: " << a << " (try --help)\n";
-      return false;
+      // Every other flag is a request field: one grammar with --jobs
+      // experiments and daemon queries (dse/request.hpp).
+      switch (apply_request_flag(a, value, o.req)) {
+        case FlagResult::kApplied:
+          ++i;
+          break;
+        case FlagResult::kRejected:
+          return false;
+        case FlagResult::kUnknown:
+          std::cerr << "unknown flag: " << a << " (try --help)\n";
+          return false;
+      }
     }
   }
   return true;
@@ -250,22 +187,11 @@ void print_cache_line(const char* name, const CacheStats& s, bool last) {
   std::cout << (last ? "\n" : ", ");
 }
 
-/// CLI-only report extras — everything a sweep's report needs beyond the
-/// RequestSpec's own shape (top/csv/front_csv). Shared by the
-/// single-sweep path and the per-experiment loop of --jobs.
-struct ReportOptions {
-  RequestSpec req;
-  bool stats = false;
-  std::string layer_stats_csv_path;
-  int dump_stats_top = 5;
-  std::string stats_json_path;
-};
-
 /// Print the sweep report (summary, optional stats, front table) and
-/// write the configured output files. Returns false — after a diagnostic
-/// on stderr — on any write failure.
+/// write the files `req` and the CLI-only options name. Returns false —
+/// after a diagnostic on stderr — on any write failure.
 bool print_report(SweepSession& session, const SweepOutcome& out,
-                  const ReportOptions& ro) {
+                  const RequestSpec& req, const Options& o) {
   const SweepConfig& cfg = session.config();
   Evaluator& eval = session.evaluator();
   const std::string scored_by = cfg.scored_by_label();
@@ -296,7 +222,7 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
                 << Table::num(rs.secs, 2) << " s\n";
     }
   }
-  if (ro.stats) {
+  if (o.stats) {
     std::cout << "cache hits/misses[/races] — ";
     print_cache_line("area", eval.area_cache_stats(), false);
     print_cache_line("accuracy", eval.accuracy_cache_stats(), true);
@@ -310,8 +236,8 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
             << out.global_front_size << " in the cross-workload front)\n\n";
 
   std::vector<EvalResult> shown = out.front;
-  if (ro.req.top > 0 && static_cast<size_t>(ro.req.top) < shown.size())
-    shown.resize(static_cast<size_t>(ro.req.top));
+  if (req.top > 0 && static_cast<size_t>(req.top) < shown.size())
+    shown.resize(static_cast<size_t>(req.top));
   front_table(shown).print(std::cout);
   if (shown.size() < out.front.size())
     std::cout << "… " << out.front.size() - shown.size()
@@ -319,39 +245,39 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
 
   if (!cfg.store_out.empty())
     std::cout << "wrote " << cfg.store_out << "\n";
-  if (!ro.req.csv.empty()) {
-    if (!results_csv(out.results, scored_by).write(ro.req.csv)) {
-      std::cerr << "failed to write " << ro.req.csv << "\n";
+  if (!req.csv.empty()) {
+    if (!results_csv(out.results, scored_by).write(req.csv)) {
+      std::cerr << "failed to write " << req.csv << "\n";
       return false;
     }
-    std::cout << "\nwrote " << ro.req.csv << "\n";
+    std::cout << "\nwrote " << req.csv << "\n";
   }
-  if (!ro.req.front_csv.empty()) {
-    if (!results_csv(out.front, scored_by).write(ro.req.front_csv)) {
-      std::cerr << "failed to write " << ro.req.front_csv << "\n";
+  if (!req.front_csv.empty()) {
+    if (!results_csv(out.front, scored_by).write(req.front_csv)) {
+      std::cerr << "failed to write " << req.front_csv << "\n";
       return false;
     }
-    std::cout << "wrote " << ro.req.front_csv << "\n";
+    std::cout << "wrote " << req.front_csv << "\n";
   }
-  if (!ro.layer_stats_csv_path.empty()) {
-    const size_t k = ro.dump_stats_top == 0
+  if (!o.layer_stats_csv_path.empty()) {
+    const size_t k = o.dump_stats_top == 0
                          ? out.front.size()
-                         : static_cast<size_t>(ro.dump_stats_top);
+                         : static_cast<size_t>(o.dump_stats_top);
     const StatsWriter sw = layer_stats_writer(eval, out.front, k);
-    if (!sw.write_csv(ro.layer_stats_csv_path)) {
-      std::cerr << "failed to write " << ro.layer_stats_csv_path << "\n";
+    if (!sw.write_csv(o.layer_stats_csv_path)) {
+      std::cerr << "failed to write " << o.layer_stats_csv_path << "\n";
       return false;
     }
-    std::cout << "wrote " << ro.layer_stats_csv_path << " (" << sw.row_count()
+    std::cout << "wrote " << o.layer_stats_csv_path << " (" << sw.row_count()
               << " layer rows from " << std::min(out.front.size(), k)
               << " front points)\n";
   }
-  if (!ro.stats_json_path.empty()) {
-    if (!session.stats_writer(out).write_json(ro.stats_json_path)) {
-      std::cerr << "failed to write " << ro.stats_json_path << "\n";
+  if (!o.stats_json_path.empty()) {
+    if (!session.stats_writer(out).write_json(o.stats_json_path)) {
+      std::cerr << "failed to write " << o.stats_json_path << "\n";
       return false;
     }
-    std::cout << "wrote " << ro.stats_json_path << "\n";
+    std::cout << "wrote " << o.stats_json_path << "\n";
   }
   return true;
 }
@@ -367,13 +293,7 @@ int run_single(const Options& o) {
   try {
     SweepSession session(o.req.config);
     const SweepOutcome out = session.run();
-    ReportOptions ro;
-    ro.req = o.req;
-    ro.stats = o.stats;
-    ro.layer_stats_csv_path = o.layer_stats_csv_path;
-    ro.dump_stats_top = o.dump_stats_top;
-    ro.stats_json_path = o.stats_json_path;
-    if (!print_report(session, out, ro)) return 1;
+    if (!print_report(session, out, o.req, o)) return 1;
     if (o.verify_serial) {
       if (!session.verify_serial(out)) return 1;
       std::cout << "verify-serial: fronts byte-identical ("
@@ -398,7 +318,7 @@ int run_jobs(const Options& o) {
     }
     std::cout << "running " << spec.experiments.size() << " experiments from "
               << o.jobs_path << "\n";
-    for (const JobExperiment& e : spec.experiments) {
+    for (const RequestSpec& e : spec.experiments) {
       std::cout << "\n--- experiment " << e.name << " ---\n";
       if (!e.config.validate()) {
         std::cerr << "(in experiment " << e.name << " of " << o.jobs_path
@@ -410,10 +330,8 @@ int run_jobs(const Options& o) {
       // evaluation exactly once.
       SweepSession session(e.config, &store);
       const SweepOutcome out = session.run();
-      ReportOptions ro;
-      ro.req = e;
-      ro.stats = o.stats;
-      if (!print_report(session, out, ro)) return 1;
+      // --jobs takes no other flag, so the CLI-only outputs stay off.
+      if (!print_report(session, out, e, o)) return 1;
     }
     if (!spec.store_out.empty()) {
       if (!store.save_file(spec.store_out)) {

@@ -1,8 +1,8 @@
 // Minimal JSON reader — the parsing half of the repo's JSON story.
 //
 // StatsWriter / bench_json emit JSON; this module reads it back: job
-// specs (dse/jobspec.hpp) and evaluated-space snapshots (dse/store.hpp)
-// both arrive as files a user or an earlier run wrote. The parser covers
+// specs and daemon requests (dse/request.hpp) and evaluated-space
+// snapshots (dse/store.hpp) arrive as text a user or an earlier run wrote. The parser covers
 // the full JSON grammar (objects, arrays, strings with escapes, numbers,
 // true/false/null) with two deliberate strictnesses on top of RFC 8259:
 // duplicate object keys are an error (a spec that silently dropped one of

@@ -24,7 +24,9 @@ std::vector<std::string> result_row(const EvalResult& r) {
                                   std::to_string(p.acc.pco),
                                   std::to_string(p.acc.ifmap_buf_bytes),
                                   std::to_string(p.acc.ofmap_buf_bytes),
-                                  std::to_string(p.acc.weight_buf_bytes)};
+                                  std::to_string(p.acc.weight_buf_bytes),
+                                  std::to_string(p.acc.act_bits),
+                                  std::to_string(p.acc.weight_bits)};
   for (int i = 0; i < kObjectiveCount; ++i)
     row.push_back(format_double(r.obj.get(static_cast<Objective>(i))));
   return row;
@@ -65,7 +67,8 @@ CsvWriter results_csv(const std::vector<EvalResult>& results,
   std::vector<std::string> header = {
       "workload", "dataflow",        "psum_bits",       "apsq",
       "group_size", "po",            "pci",             "pco",
-      "ifmap_buf_bytes", "ofmap_buf_bytes", "weight_buf_bytes"};
+      "ifmap_buf_bytes", "ofmap_buf_bytes", "weight_buf_bytes",
+      "act_bits", "weight_bits"};
   for (int i = 0; i < kObjectiveCount; ++i)
     header.push_back(objective_column(static_cast<Objective>(i)));
   if (!scored_by.empty()) header.push_back("scored_by");
@@ -81,7 +84,8 @@ CsvWriter results_csv(const std::vector<EvalResult>& results,
 
 Table front_table(const std::vector<EvalResult>& front) {
   std::vector<std::string> header = {"Workload", "Dataflow", "PSUM", "gs",
-                                     "PE (Po,Pci,Pco)", "Bufs (KB)"};
+                                     "PE (Po,Pci,Pco)", "Bufs (KB)",
+                                     "Bits (A/W)"};
   for (int i = 0; i < kObjectiveCount; ++i)
     header.push_back(objective_header(static_cast<Objective>(i)));
   Table t(header);
@@ -97,7 +101,9 @@ Table front_table(const std::vector<EvalResult>& front) {
             std::to_string(p.acc.pco),
         std::to_string(p.acc.ifmap_buf_bytes / 1024) + "/" +
             std::to_string(p.acc.ofmap_buf_bytes / 1024) + "/" +
-            std::to_string(p.acc.weight_buf_bytes / 1024)};
+            std::to_string(p.acc.weight_buf_bytes / 1024),
+        std::to_string(p.acc.act_bits) + "/" +
+            std::to_string(p.acc.weight_bits)};
     for (int i = 0; i < kObjectiveCount; ++i) {
       const Objective o = static_cast<Objective>(i);
       row.push_back(objective_display(o, r.obj.get(o)));
@@ -111,7 +117,8 @@ StatsWriter layer_stats_writer(Evaluator& eval,
                                const std::vector<EvalResult>& front, size_t k) {
   StatsWriter sw({"workload", "dataflow", "psum_bits", "apsq", "group_size",
                   "po", "pci", "pco", "ifmap_buf_bytes", "ofmap_buf_bytes",
-                  "weight_buf_bytes", "scored_by", "layer", "layer_class",
+                  "weight_buf_bytes", "act_bits", "weight_bits", "scored_by",
+                  "layer", "layer_class",
                   "rows", "ci", "co", "repeat", "tile_cycles", "mac_ops",
                   "pe_utilization", "compute_s", "dram_s", "latency_s",
                   "compute_stall_s", "dram_idle_s", "sram_bytes", "dram_bytes",
@@ -135,6 +142,8 @@ StatsWriter layer_stats_writer(Evaluator& eval,
       sw.add(p.acc.ifmap_buf_bytes);
       sw.add(p.acc.ofmap_buf_bytes);
       sw.add(p.acc.weight_buf_bytes);
+      sw.add(p.acc.act_bits);
+      sw.add(p.acc.weight_bits);
       sw.add(t.source);
       sw.add(ls.layer_name);
       sw.add(ls.layer_class);

@@ -25,8 +25,10 @@ class Evaluator;
 /// Round-trip-exact decimal rendering of a double.
 std::string format_double(double v);
 
-/// One row per result: the full configuration plus every objective (one
-/// column per Objective, in enum order). A non-empty `scored_by` label
+/// One row per result: every point-identity field, in the snapshot row's
+/// order (bit widths included, so two rows of a fine-space front never
+/// read alike), plus every objective (one column per Objective, in enum
+/// order). A non-empty `scored_by` label
 /// ("analytic") appends a `scored_by` column so a persisted CSV records
 /// which models stand behind its absolute numbers. Rows carrying their
 /// own EvalResult::scored_by provenance (every evaluator-produced result)

@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -22,8 +21,7 @@ void append_head(std::ostringstream& os, bool ok, const std::string& id) {
 }
 
 std::string query_response(const std::string& id, const dse::RequestSpec& req,
-                           const QueryResult& qr,
-                           const std::vector<std::string>& wrote) {
+                           const QueryResult& qr) {
   std::ostringstream os;
   append_head(os, true, id);
   if (!req.name.empty()) os << ", \"name\": \"" << json_escape(req.name) << "\"";
@@ -37,14 +35,7 @@ std::string query_response(const std::string& id, const dse::RequestSpec& req,
     dse::append_result_json(os, r);
     os << "}";
   }
-  os << "]";
-  if (!wrote.empty()) {
-    os << ", \"wrote\": [";
-    for (size_t i = 0; i < wrote.size(); ++i)
-      os << (i == 0 ? "\"" : ", \"") << json_escape(wrote[i]) << "\"";
-    os << "]";
-  }
-  os << ", \"stats\": {\"store_hits\": " << qr.stats.store_hits
+  os << "], \"stats\": {\"store_hits\": " << qr.stats.store_hits
      << ", \"fresh_evaluations\": " << qr.stats.fresh_evaluations
      << ", \"coalesced\": " << qr.stats.coalesced
      << ", \"eval_batches\": " << qr.stats.eval_batches
@@ -114,31 +105,21 @@ LineResult handle_request_line(Dispatcher& dispatcher,
                                "\" (expected query|ping|stats|shutdown)");
 
     // A query: every remaining key is a RequestSpec field — the same
-    // keys, ranges, and messages as a --jobs experiment.
+    // keys and ranges as a --jobs experiment. The output-file fields are
+    // not: a client must not make the daemon write files it names.
     dse::RequestSpec req;
     for (const auto& [key, value] : doc.members()) {
       if (key == "schema_version" || key == "id" || key == "cmd") continue;
+      if (key == "csv" || key == "front_csv")
+        dse::request_error("request", "query",
+                           "\"" + key +
+                               "\" is not accepted by the daemon (it writes "
+                               "no client-named files)");
       if (!dse::apply_request_field(key, value, req, "request", "query"))
         dse::request_error("request", "query", "unknown key \"" + key + "\"");
     }
     const QueryResult qr = dispatcher.query(req);
-    // Server-side outputs, like a jobs experiment would write them. The
-    // front CSV is the FULL front (qr.front is truncated to req.top).
-    std::vector<std::string> wrote;
-    if (!req.csv.empty()) {
-      if (!dse::results_csv(qr.results, req.config.scored_by_label())
-               .write(req.csv))
-        throw std::runtime_error("failed to write " + req.csv);
-      wrote.push_back(req.csv);
-    }
-    if (!req.front_csv.empty()) {
-      std::ofstream f(req.front_csv, std::ios::binary | std::ios::trunc);
-      f << qr.front_csv;
-      f.flush();
-      if (!f) throw std::runtime_error("failed to write " + req.front_csv);
-      wrote.push_back(req.front_csv);
-    }
-    out.response = query_response(id, req, qr, wrote);
+    out.response = query_response(id, req, qr);
     out.ok = true;
     return out;
   } catch (const std::exception& e) {

@@ -5,8 +5,10 @@
 //   {"schema_version": 1,          // optional; absent = 1; future → error
 //    "id": "q1",                   // optional; echoed in the response
 //    "cmd": "query",               // optional; query | ping | stats | shutdown
-//    ...RequestSpec fields...}     // query only — the same keys, ranges,
-//                                  // and messages as a --jobs experiment
+//    ...RequestSpec fields...}     // query only — the same keys and
+//                                  // ranges as a --jobs experiment, except
+//                                  // csv/front_csv (rejected: the daemon
+//                                  // writes no client-named files)
 //
 // Response (always exactly one line):
 //   {"schema_version": 1, "ok": true, "id": "q1", ...}        on success

@@ -1,18 +1,15 @@
 #include "sim/stats.hpp"
 
-#include <algorithm>
 #include <cctype>
-#include <cmath>
 
-#include "common/check.hpp"
 #include "energy/access_counts.hpp"
 
 namespace apsq {
 
 namespace {
 
-/// Occupancy / stall / idle fields shared by both backends, derived from
-/// an already-filled LayerPerformance.
+/// Occupancy / stall / idle fields, derived from an already-filled
+/// LayerPerformance.
 void fill_overlap_fields(LayerStats& row) {
   const LayerPerformance& p = row.perf;
   row.dram_bw_occupancy =
@@ -30,20 +27,6 @@ WorkloadPerformance WorkloadTelemetry::roll_up() const {
   for (const LayerStats& row : rows)
     accumulate_layer_performance(total, row.perf, row.repeat, util_weighted);
   finalize_mean_utilization(total, util_weighted);
-  return total;
-}
-
-double WorkloadTelemetry::total_sram_bytes() const {
-  double total = 0.0;
-  for (const LayerStats& row : rows)
-    total += row.sram_bytes * static_cast<double>(row.repeat);
-  return total;
-}
-
-double WorkloadTelemetry::total_dram_bytes() const {
-  double total = 0.0;
-  for (const LayerStats& row : rows)
-    total += row.perf.dram_bytes * static_cast<double>(row.repeat);
   return total;
 }
 
@@ -118,93 +101,6 @@ WorkloadTelemetry analytic_telemetry(Dataflow df, const Workload& w,
     t.rows.push_back(std::move(row));
   }
   return t;
-}
-
-WorkloadTelemetry sim_telemetry(const WorkloadRunResult& r,
-                                const SimConfig& cfg, const PerfConfig& perf,
-                                const ComponentScale& scale,
-                                const std::string& source) {
-  APSQ_CHECK(std::isfinite(perf.clock_hz) && perf.clock_hz > 0.0);
-  APSQ_CHECK(std::isfinite(perf.dram_bandwidth_gbps) &&
-             perf.dram_bandwidth_gbps > 0.0);
-  const double array_macs = static_cast<double>(cfg.arch.po) * cfg.arch.pci *
-                            cfg.arch.pco;
-  WorkloadTelemetry t;
-  t.source = source;
-  t.rows.reserve(r.layers.size());
-  for (const LayerRunStats& lr : r.layers) {
-    LayerStats row;
-    row.layer_name = lr.name;
-    row.layer_class = layer_class_of(lr.name);
-    row.repeat = lr.repeat;
-    row.shape = lr.scaled_shape;
-
-    LayerPerformance& p = row.perf;
-    p.tile_cycles = lr.stats.cycles;
-    p.mac_ops = lr.stats.mac_ops;
-    p.utilization =
-        p.tile_cycles > 0
-            ? static_cast<double>(p.mac_ops) /
-                  (static_cast<double>(p.tile_cycles) * array_macs)
-            : 0.0;
-    // The component expressions below mirror WorkloadRunResult::latency_s
-    // (identity scale) and Calibrator::calibrated_latency_s (calibration
-    // factors) term for term, so roll_up() reproduces both bit-for-bit.
-    p.compute_time_s =
-        scale.cycles * static_cast<double>(lr.stats.cycles) / perf.clock_hz;
-    p.dram_bytes = scale.dram_bytes *
-                   static_cast<double>(lr.stats.dram.total_bytes());
-    p.dram_time_s = p.dram_bytes / (perf.dram_bandwidth_gbps * 1e9);
-    p.latency_s = std::max(p.compute_time_s, p.dram_time_s);
-    p.dram_bound = p.dram_time_s > p.compute_time_s;
-
-    row.sram_bytes = scale.sram_bytes *
-                     static_cast<double>(lr.stats.sram.total_bytes());
-    for (size_t k = 0; k < 4; ++k)
-      row.dram_operand_bytes[k] =
-          scale.dram_bytes *
-          static_cast<double>(lr.stats.dram.total(static_cast<Operand>(k)));
-    fill_overlap_fields(row);
-    t.rows.push_back(std::move(row));
-  }
-  return t;
-}
-
-double run_pe_utilization(const WorkloadRunResult& r,
-                          double array_macs_per_cycle) {
-  i64 total_macs = 0;
-  double util_weighted = 0.0;
-  for (const LayerRunStats& lr : r.layers) {
-    const double util =
-        lr.stats.cycles > 0
-            ? static_cast<double>(lr.stats.mac_ops) /
-                  (static_cast<double>(lr.stats.cycles) * array_macs_per_cycle)
-            : 0.0;
-    const double rep = static_cast<double>(lr.repeat);
-    util_weighted +=
-        util * static_cast<double>(lr.stats.mac_ops) * rep;
-    total_macs += lr.stats.mac_ops * lr.repeat;
-  }
-  return total_macs > 0
-             ? util_weighted / static_cast<double>(total_macs)
-             : 0.0;
-}
-
-double run_dram_bw_occupancy(const WorkloadRunResult& r,
-                             const PerfConfig& perf, const ComponentScale& f) {
-  double total_latency_s = 0.0;
-  double total_dram_s = 0.0;
-  for (const LayerRunStats& lr : r.layers) {
-    const double compute_s =
-        f.cycles * static_cast<double>(lr.stats.cycles) / perf.clock_hz;
-    const double dram_s =
-        f.dram_bytes * static_cast<double>(lr.stats.dram.total_bytes()) /
-        (perf.dram_bandwidth_gbps * 1e9);
-    const double rep = static_cast<double>(lr.repeat);
-    total_latency_s += std::max(compute_s, dram_s) * rep;
-    total_dram_s += dram_s * rep;
-  }
-  return total_latency_s > 0.0 ? total_dram_s / total_latency_s : 0.0;
 }
 
 }  // namespace apsq

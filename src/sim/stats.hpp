@@ -1,18 +1,13 @@
-// Per-layer telemetry registry for both fidelity backends.
+// Per-layer telemetry of the closed-form models.
 //
-// The simulator and the analytic models both roll a workload up to a
-// handful of aggregates (WorkloadPerformance, SimStats totals); everything
-// per-layer — which layers are DRAM-bound, where the PE array runs ragged,
-// how the traffic splits by operand — was thrown away at the roll-up.
-// This registry keeps it: one LayerStats row per layer instance, built
-// from either backend, with the invariant that summing the rows
-// reproduces the existing aggregates *bit-for-bit* (the accumulation
-// expressions are shared with workload_performance via
-// accumulate_layer_performance, and the sim rows use the exact
-// per-component expressions of WorkloadRunResult::latency_s /
-// Calibrator::calibrated_latency_s). The registry feeds the StatsWriter
-// CSV dumps, the pe_utilization / dram_bw_headroom DSE objectives, and
-// the per-layer-class calibration fits.
+// The analytic models roll a workload up to a handful of aggregates
+// (WorkloadPerformance); everything per-layer — which layers are
+// DRAM-bound, where the PE array runs ragged, how the traffic splits by
+// operand — was thrown away at the roll-up. This registry keeps it: one
+// LayerStats row per layer instance, with the invariant that summing the
+// rows reproduces workload_performance *bit-for-bit* (the accumulation
+// expressions are shared through accumulate_layer_performance). It feeds
+// the apsq_dse --layer-stats-csv dump.
 #pragma once
 
 #include <array>
@@ -20,46 +15,21 @@
 #include <vector>
 
 #include "sim/performance.hpp"
-#include "sim/workload_runner.hpp"
 
 namespace apsq {
 
-/// Per-component multiplicative factors applied to a measured (scaled)
-/// simulator run — SRAM bytes, DRAM bytes, cycles, MACs scale
-/// independently. Identity factors leave a measurement untouched
-/// (1.0 · x == x exactly, so telemetry built with the default scale is
-/// byte-identical to the raw measurement). dse::CalibrationFactors is an
-/// alias of this type; it lives here so the sim layer can consume
-/// calibration factors without depending on dse.
-struct ComponentScale {
-  double sram_bytes = 1.0;
-  double dram_bytes = 1.0;
-  double cycles = 1.0;
-  double macs = 1.0;
-
-  ComponentScale compose(const ComponentScale& other) const {
-    return {sram_bytes * other.sram_bytes, dram_bytes * other.dram_bytes,
-            cycles * other.cycles, macs * other.macs};
-  }
-};
-
-/// One telemetry row: a layer instance (× repeat) as one backend saw it.
+/// One telemetry row: a layer instance (× repeat).
 struct LayerStats {
   std::string layer_name;
   std::string layer_class;  ///< layer_class_of(layer_name)
   index_t repeat = 1;
-  /// The shape this row describes — the full layer for the analytic
-  /// backend, the scaled proxy shape for the simulator.
-  LayerShape shape;
+  LayerShape shape;  ///< the full layer this row describes
 
-  /// One-instance performance. tile_cycles / mac_ops stay the measured
-  /// integers even under a non-identity ComponentScale (a calibrated
-  /// cycle count is fractional); the time fields carry the scale.
-  LayerPerformance perf;
+  LayerPerformance perf;  ///< one-instance performance
 
-  double sram_bytes = 0.0;  ///< on-chip traffic (scaled), one instance
+  double sram_bytes = 0.0;  ///< on-chip traffic, one instance
   /// DRAM traffic split by operand (ifmap, weight, psum, ofmap — the
-  /// Operand enum order), one instance, scaled. Informational split of
+  /// Operand enum order), one instance. Informational split of
   /// perf.dram_bytes; the sum may differ from it in the last ulp.
   std::array<double, 4> dram_operand_bytes{};
 
@@ -77,23 +47,15 @@ struct LayerStats {
 /// A whole run's telemetry: per-layer rows plus the roll-up contract.
 struct WorkloadTelemetry {
   std::string workload;
-  /// Fidelity provenance: "analytic", "sim", or "sim+cal".
+  /// Fidelity provenance ("analytic"), the layer CSV's scored_by column.
   std::string source;
   std::vector<LayerStats> rows;
 
   /// Sum the rows back into the aggregate view. Bit-identical to
-  /// workload_performance for analytic telemetry and to
-  /// WorkloadRunResult::latency_s / Calibrator::calibrated_latency_s for
-  /// sim telemetry (identity / calibration scale respectively) — the
-  /// tests in tests/sim/stats_test.cpp pin this down with EXPECT_EQ on
-  /// doubles. total_cycles / total_macs are the measured integers even
-  /// under calibration (see LayerStats::perf).
+  /// workload_performance — the tests in tests/sim/stats_test.cpp pin
+  /// this down with EXPECT_EQ on doubles.
   WorkloadPerformance roll_up() const;
 
-  /// Σ rows' sram_bytes × repeat.
-  double total_sram_bytes() const;
-  /// Σ rows' perf.dram_bytes × repeat.
-  double total_dram_bytes() const;
   /// Whole-run DRAM-bandwidth occupancy: Σ dram_time / Σ latency
   /// (0 for an empty run). The complement 1 − occupancy is the
   /// dram_bw_headroom DSE objective.
@@ -105,8 +67,8 @@ struct WorkloadTelemetry {
 /// instance index are stripped, so e.g. "s1_q_proj".."s4_q_proj" and
 /// "patch_embed1".."patch_embed4" each collapse to one class. Kernel-shape
 /// suffixes ("dw3x3", "aggreg5x5") and the functionally distinct
-/// "mlp_fc1"/"mlp_fc2" pair keep their digits. This is the key the
-/// per-layer-class calibration fits group by.
+/// "mlp_fc1"/"mlp_fc2" pair keep their digits. The layer CSV's
+/// layer_class column.
 std::string layer_class_of(const std::string& layer_name);
 
 /// Telemetry of the closed-form models: one row per workload layer at
@@ -116,28 +78,5 @@ WorkloadTelemetry analytic_telemetry(Dataflow df, const Workload& w,
                                      const AcceleratorConfig& acc,
                                      const PsumConfig& psum,
                                      const PerfConfig& perf = PerfConfig{});
-
-/// Telemetry of a simulator run: one row per executed layer at the scaled
-/// proxy shape, components multiplied by `scale` (identity for raw
-/// measurements; a calibrator's factors to lift to full-scale units —
-/// pass source "sim+cal" then).
-WorkloadTelemetry sim_telemetry(const WorkloadRunResult& r,
-                                const SimConfig& cfg,
-                                const PerfConfig& perf = PerfConfig{},
-                                const ComponentScale& scale = ComponentScale{},
-                                const std::string& source = "sim");
-
-/// MAC-weighted mean per-layer PE-array utilization of a run —
-/// bit-identical to sim_telemetry(...).roll_up().mean_utilization but
-/// allocation-free, for the DSE scoring hot path. `array_macs_per_cycle`
-/// is po·pci·pco. Dimensionless, so calibration-independent.
-double run_pe_utilization(const WorkloadRunResult& r,
-                          double array_macs_per_cycle);
-
-/// Whole-run DRAM-bandwidth occupancy of a run under component scale `f`
-/// — bit-identical to sim_telemetry(...).dram_bw_occupancy() but
-/// allocation-free, for the DSE scoring hot path.
-double run_dram_bw_occupancy(const WorkloadRunResult& r,
-                             const PerfConfig& perf, const ComponentScale& f);
 
 }  // namespace apsq

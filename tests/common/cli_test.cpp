@@ -128,9 +128,9 @@ TEST(CliParse, EnumFlagRejectsUnknownValuesByFlagName) {
 }
 
 TEST(CliParse, PromoteBudgetRejectsZeroByFlagName) {
-  // apsq_dse parses --promote-budget with a lower bound of 1: a budget of
-  // 0 would simulate nothing and report an empty front, so it must exit 1
-  // naming the flag instead of running a useless sweep.
+  // A budget flag with a lower bound of 1 (the shape apsq_dse's --budget
+  // has): a budget of 0 would evaluate nothing and report an empty front,
+  // so it must exit 1 naming the flag instead of running a useless sweep.
   i64 v = 77;
   std::ostringstream err;
   EXPECT_FALSE(
@@ -146,9 +146,9 @@ TEST(CliParse, PromoteBudgetRejectsZeroByFlagName) {
 }
 
 TEST(CliParse, FlagRequiresNamesTheFlagAndTheRequirement) {
-  // The --promote-budget-with---backend-analytic misuse: the flag is only
-  // meaningful on the mixed backend, so the combination exits 1 with both
-  // sides named rather than silently ignoring the budget.
+  // A flag that is only meaningful next to another (the shape of
+  // apsq_dse's --budget without --mode search): the combination exits 1
+  // with both sides named rather than silently ignoring the flag.
   std::ostringstream err;
   EXPECT_FALSE(flag_requires(/*flag_given=*/true, "--promote-budget",
                              /*requirement_met=*/false, "--backend mixed",

@@ -4,7 +4,7 @@
 // out-of-range values throw naming the source, the experiment, and the
 // key. Cross-field consistency stays with SweepConfig::validate(), so the
 // spec path rejects inconsistent configs with the CLI's exact messages.
-#include "dse/jobspec.hpp"
+#include "dse/request.hpp"
 
 #include <gtest/gtest.h>
 
@@ -45,14 +45,14 @@ TEST(JobSpec, DefaultsMergeUnderEachExperiment) {
   EXPECT_EQ(spec.store_in, "in.json");
   EXPECT_EQ(spec.store_out, "out.json");
   ASSERT_EQ(spec.experiments.size(), 2u);
-  const JobExperiment& a = spec.experiments[0];
+  const RequestSpec& a = spec.experiments[0];
   EXPECT_EQ(a.name, "a");
   EXPECT_EQ(a.config.space, "smoke");
   EXPECT_EQ(a.config.threads, 2);
   EXPECT_EQ(a.config.seed, 7u);
   EXPECT_EQ(a.config.objectives.to_string(), "energy,area,error,latency");
   EXPECT_EQ(a.top, 20);
-  const JobExperiment& b = spec.experiments[1];
+  const RequestSpec& b = spec.experiments[1];
   EXPECT_EQ(b.config.space, "smoke");   // inherited
   EXPECT_EQ(b.config.threads, 3);       // overridden
   EXPECT_EQ(b.config.seed, 7u);         // inherited
@@ -73,7 +73,7 @@ TEST(JobSpec, FieldsMapOntoSweepConfigLikeTheFlags) {
       " \"backend\": \"analytic\", \"objectives\": \"energy,latency\","
       " \"where\": \"area<=2.5e6\","
       " \"csv\": \"pts.csv\", \"front_csv\": \"front.csv\"}]}");
-  const JobExperiment& e = spec.experiments[0];
+  const RequestSpec& e = spec.experiments[0];
   EXPECT_EQ(e.config.objectives.to_string(), "energy,latency");
   EXPECT_EQ(e.config.where, "area<=2.5e6");
   EXPECT_EQ(e.csv, "pts.csv");
@@ -136,7 +136,7 @@ TEST(JobSpec, SearchFieldsMapOntoSweepConfigLikeTheFlags) {
       "{\"experiments\": [{"
       " \"space\": \"fine\", \"mode\": \"search\", \"strategy\": \"evolve\","
       " \"budget\": 512, \"search_seed\": 7}]}");
-  const JobExperiment& e = spec.experiments[0];
+  const RequestSpec& e = spec.experiments[0];
   EXPECT_EQ(e.config.mode, RunMode::kSearch);
   EXPECT_TRUE(e.config.strategy_set);
   EXPECT_EQ(e.config.strategy, SearchStrategy::kEvolve);
@@ -153,7 +153,7 @@ TEST(JobSpec, V1SpecsWithoutSearchFieldsStillParseAsSweeps) {
   // written before they existed must parse to a plain exhaustive sweep.
   const JobSpec spec = parse_text(
       "{\"schema_version\": 1, \"experiments\": [{\"space\": \"smoke\"}]}");
-  const JobExperiment& e = spec.experiments[0];
+  const RequestSpec& e = spec.experiments[0];
   EXPECT_EQ(e.config.mode, RunMode::kSweep);
   EXPECT_FALSE(e.config.strategy_set);
   EXPECT_FALSE(e.config.budget_set);
@@ -249,13 +249,13 @@ TEST(JobSpec, BundledExampleSpecsParse) {
   EXPECT_EQ(smoke.experiments.size(), 2u);
   const JobSpec paper = JobSpec::parse_file(paper_path);
   EXPECT_EQ(paper.experiments.size(), 4u);
-  for (const JobExperiment& e : paper.experiments) {
+  for (const RequestSpec& e : paper.experiments) {
     std::ostringstream err;
     EXPECT_TRUE(e.config.validate(err)) << e.name << ": " << err.str();
   }
   const JobSpec search = JobSpec::parse_file(search_path);
   EXPECT_EQ(search.experiments.size(), 1u);
-  for (const JobExperiment& e : search.experiments) {
+  for (const RequestSpec& e : search.experiments) {
     EXPECT_EQ(e.config.mode, RunMode::kSearch) << e.name;
     std::ostringstream err;
     EXPECT_TRUE(e.config.validate(err)) << e.name << ": " << err.str();

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -254,9 +255,11 @@ void expect_trajectory(const Trajectory& t, u64 digest, size_t front,
 TEST(Search, FineSearchTrajectoryIsPinned) {
   // Recorded before the search kept its front live: the front bytes, the
   // front sizes and every round's accounting of a budget-8192 fine-space
-  // search must not move when selection internals change.
+  // search must not move when selection internals change. (The digest
+  // was re-pinned when the CSV gained its act_bits/weight_bits columns;
+  // the sizes and rounds did not move.)
   expect_trajectory(trajectory_of(ConfigSpace::fine_default(), 8192, 1),
-                    0x04baa60554331964ULL, 656, 202,
+                    0x8f714ef83ace5a28ULL, 656, 202,
                     {{279, 2048}, {600, 4473}, {656, 1671}});
 }
 
@@ -277,9 +280,54 @@ TEST(Search, DuplicateDecodingTrajectoryIsPinned) {
   const Trajectory t = trajectory_of(space, 1024, 1);
   // The search did score some point under both of its indices.
   EXPECT_GT(t.repeated_points, 0u);
-  expect_trajectory(t, 0x49f640f5daddefb0ULL, 30, 30,
+  expect_trajectory(t, 0x67253f3ca62e16c6ULL, 30, 30,
                     {{32, 256}, {25, 296}, {27, 181}, {27, 97}, {28, 66},
                      {29, 61}, {30, 55}, {30, 12}});
+}
+
+/// The comma-separated fields of one CSV line (no field here is quoted).
+std::vector<std::string> csv_fields(const std::string& line) {
+  std::vector<std::string> fields;
+  std::istringstream in(line);
+  for (std::string f; std::getline(in, f, ',');) fields.push_back(f);
+  return fields;
+}
+
+TEST(Search, FineFrontCsvRowsHaveDistinctIdentities) {
+  // The fine space varies the activation and weight bit widths, so two
+  // front points can share every other field. Each CSV row must still
+  // name its point: the columns before the first objective identify it.
+  SweepConfig cfg;
+  cfg.space = "fine";
+  cfg.mode = RunMode::kSearch;
+  cfg.budget = 4096;
+  cfg.budget_set = true;
+  cfg.search_seed = 9;
+  cfg.search_seed_set = true;
+  cfg.threads = 1;
+  SweepSession session(cfg);
+  const SweepOutcome out = session.run();
+  std::istringstream lines(
+      results_csv(out.front, cfg.scored_by_label()).to_string());
+  std::string line;
+  std::getline(lines, line);
+  const std::vector<std::string> header = csv_fields(line);
+  const auto first_objective =
+      std::find(header.begin(), header.end(),
+                objective_column(Objective::kEnergy));
+  ASSERT_NE(first_objective, header.end()) << line;
+  const size_t identity_columns =
+      static_cast<size_t>(first_objective - header.begin());
+  std::set<std::vector<std::string>> seen;
+  size_t rows = 0;
+  while (std::getline(lines, line)) {
+    ++rows;
+    std::vector<std::string> identity = csv_fields(line);
+    identity.resize(identity_columns);
+    EXPECT_TRUE(seen.insert(identity).second) << "repeated identity: " << line;
+  }
+  EXPECT_EQ(rows, out.front.size());
+  EXPECT_GT(rows, 100u);
 }
 
 }  // namespace

@@ -1,13 +1,15 @@
 // The wire protocol's contract: one JSON line in, one versioned JSON
-// line out; a query speaks the RequestSpec vocabulary with the job-spec
-// path's exact validation messages; malformed input becomes an ok:false
-// response (never a dropped connection or a crash); future
-// schema_versions are rejected naming the version and the supported
-// range.
+// line out; a query speaks the RequestSpec vocabulary (minus the output
+// file fields) with the job-spec path's exact validation messages;
+// malformed input becomes an ok:false response (never a dropped
+// connection or a crash); future schema_versions are rejected naming the
+// version and the supported range.
 #include "serve/protocol.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -182,6 +184,30 @@ TEST(Protocol, RejectsRemovedBackendsStrategiesAndFields) {
                   d, "{\"space\": \"smoke\", \"threads\": 1,"
                      " \"backend\": \"analytic\"}")
                   .ok);
+}
+
+TEST(Protocol, RejectsOutputFileFieldsWithoutWriting) {
+  // A client must not make the daemon truncate or write a path it names:
+  // csv / front_csv are CLI and --jobs fields only.
+  dse::EvalStore store;
+  Dispatcher d(store);
+  for (const char* key : {"csv", "front_csv"}) {
+    const std::string path =
+        ::testing::TempDir() + "protocol_test_" + key + ".csv";
+    std::remove(path.c_str());
+    const LineResult r = handle_request_line(
+        d, std::string("{\"id\": \"f\", \"space\": \"smoke\", \"threads\": 1, \"") +
+               key + "\": \"" + path + "\"}");
+    EXPECT_FALSE(r.ok) << r.response;
+    const JsonValue doc = parsed_response(r);
+    EXPECT_EQ(doc.get("id").as_string(), "f");
+    EXPECT_EQ(doc.get("error").as_string(),
+              std::string("request: query: \"") + key +
+                  "\" is not accepted by the daemon (it writes no "
+                  "client-named files)");
+    EXPECT_FALSE(std::ifstream(path).good()) << path << " was created";
+  }
+  EXPECT_EQ(d.total_requests(), 0);
 }
 
 TEST(Protocol, ServeStreamAnswersEachLineAndStopsAtShutdown) {
