@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,6 +28,20 @@ namespace {
                               JsonValue::type_name(got));
 }
 
+[[noreturn]] void integer_error(const char* expected, double v) {
+  throw std::invalid_argument(std::string("expected ") + expected + ", got " +
+                              std::to_string(v));
+}
+
+/// A number written with a fraction or an exponent (5.0, 1e3) is read
+/// through its double. Below 2^53 every integer has a double of its own,
+/// so an integral one is the integer written; from 2^53 on neighbouring
+/// integers share one (9007199254740993.0 reads as …992), so it is
+/// rejected rather than rounded to an integer the text did not name.
+bool integral_below_2_53(double v) {
+  return std::fabs(v) < 0x1p53 && std::trunc(v) == v;
+}
+
 }  // namespace
 
 bool JsonValue::as_bool() const {
@@ -36,20 +51,29 @@ bool JsonValue::as_bool() const {
 
 double JsonValue::as_number() const {
   if (type_ != Type::kNumber) type_error("a number", type_);
-  return number_;
+  if (!exact_integer_) return number_;
+  // Rounds to nearest like strtod does, so the double is the same.
+  const double m = static_cast<double>(magnitude_);
+  return negative_ ? -m : m;
 }
 
 i64 JsonValue::as_i64() const {
   const double v = as_number();
-  // An integral double round-trips exactly through i64 up to 2^53; the
-  // comparison below also rejects values past i64 range (they are not
-  // representable, so trunc(v) != v or the cast saturates UB-free via the
-  // bounds check first).
-  if (!(v >= -9.2233720368547758e18 && v <= 9.2233720368547758e18) ||
-      std::trunc(v) != v)
-    throw std::invalid_argument("expected an integer, got " +
-                                std::to_string(v));
-  return static_cast<i64>(v);
+  constexpr u64 kMinMagnitude = u64{1} << 63;  // |INT64_MIN|
+  if (integral_below_2_53(v)) return static_cast<i64>(v);
+  if (exact_integer_ && magnitude_ < kMinMagnitude)
+    return negative_ ? -static_cast<i64>(magnitude_)
+                     : static_cast<i64>(magnitude_);
+  if (exact_integer_ && negative_ && magnitude_ == kMinMagnitude)
+    return std::numeric_limits<i64>::min();
+  integer_error("an integer", v);
+}
+
+u64 JsonValue::as_u64() const {
+  const double v = as_number();
+  if (exact_integer_ && (!negative_ || magnitude_ == 0)) return magnitude_;
+  if (v >= 0.0 && integral_below_2_53(v)) return static_cast<u64>(v);
+  integer_error(v < 0.0 ? "an integer >= 0" : "an integer", v);
 }
 
 const std::string& JsonValue::as_string() const {
@@ -307,12 +331,14 @@ class JsonParser {
     if (!eof() && peek() == '-') ++pos_;
     if (eof() || !(peek() >= '0' && peek() <= '9')) fail("invalid number");
     // Grammar check up front (JSON forbids leading zeros, bare '.', etc.);
-    // strtod then converts the validated token exactly.
+    // the validated token is converted below.
+    const size_t int_start = pos_;
     if (peek() == '0') {
       ++pos_;
     } else {
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
+    const size_t int_end = pos_;
     if (!eof() && peek() == '.') {
       ++pos_;
       if (eof() || !(peek() >= '0' && peek() <= '9'))
@@ -326,9 +352,22 @@ class JsonParser {
         fail("invalid number: expected exponent digits");
       while (!eof() && peek() >= '0' && peek() <= '9') ++pos_;
     }
-    const std::string token = text_.substr(start, pos_ - start);
     JsonValue v;
     v.type_ = JsonValue::Type::kNumber;
+    // An integer literal that fits 64 bits is kept exact.
+    u64 magnitude = 0;
+    bool exact = pos_ == int_end;
+    for (size_t i = int_start; i < int_end && exact; ++i)
+      exact = !__builtin_mul_overflow(magnitude, u64{10}, &magnitude) &&
+              !__builtin_add_overflow(
+                  magnitude, static_cast<u64>(text_[i] - '0'), &magnitude);
+    if (exact) {
+      v.exact_integer_ = true;
+      v.negative_ = int_start > start;
+      v.magnitude_ = magnitude;
+      return v;
+    }
+    const std::string token = text_.substr(start, pos_ - start);
     v.number_ = std::strtod(token.c_str(), nullptr);
     if (!std::isfinite(v.number_)) fail("number out of double range");
     return v;

@@ -43,8 +43,10 @@ class JsonValue {
   double as_number() const;
   /// The number as an integer; throws when it has a fractional part or
   /// falls outside i64 (a spec saying `"threads": 2.5` is a mistake, not
-  /// a request for 2).
+  /// a request for 2). Integer literals are read exactly, not rounded.
   i64 as_i64() const;
+  /// As as_i64, but throws when negative or outside u64 instead.
+  u64 as_u64() const;
   const std::string& as_string() const;
 
   /// Arrays: element count / checked indexed access.
@@ -66,7 +68,16 @@ class JsonValue {
 
   Type type_ = Type::kNull;
   bool bool_ = false;
-  double number_ = 0.0;
+  /// A number is ±magnitude_ when it was an integer literal (no fraction,
+  /// no exponent) that fits 64 bits, else number_. A union, because a
+  /// parsed snapshot holds one JsonValue per number and its peak memory
+  /// grows with the struct.
+  bool exact_integer_ = false;
+  bool negative_ = false;
+  union {
+    double number_ = 0.0;
+    u64 magnitude_;
+  };
   std::string string_;
   std::vector<JsonValue> array_;
   std::vector<std::pair<std::string, JsonValue>> object_;

@@ -182,14 +182,13 @@ class ObjectiveSet {
 bool dominates(const Objectives& a, const Objectives& b,
                const ObjectiveSet& objectives = ObjectiveSet::core());
 
-/// A scored design point. `scored_by` records the provenance of the
-/// objective values ("analytic" for every evaluator-produced result; it
-/// is persisted in snapshots and CSVs). Empty means "unspecified"
-/// (hand-built results in tests / benches).
+/// A scored design point. Every result is scored by the one closed-form
+/// fidelity, so a result carries no provenance of its own: the
+/// "analytic" label snapshots and CSVs persist is written where they are
+/// emitted (results_csv, append_result_json, layer_stats_writer).
 struct EvalResult {
   DesignPoint point;
   Objectives obj;
-  std::string scored_by;
 };
 
 }  // namespace apsq::dse

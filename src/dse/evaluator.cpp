@@ -8,6 +8,7 @@
 #include "common/thread_pool.hpp"
 #include "dse/accuracy_proxy.hpp"
 #include "energy/energy_model.hpp"
+#include "energy/layer_traffic.hpp"
 #include "models/bert.hpp"
 #include "models/efficientvit.hpp"
 #include "models/llama2.hpp"
@@ -48,12 +49,6 @@ const Workload& Evaluator::workload(const std::string& name) {
   const auto it = registry.find(name);
   APSQ_CHECK_MSG(it != registry.end(), "unknown workload: " << name);
   return it->second;
-}
-
-double Evaluator::energy_for(const DesignPoint& p) {
-  return workload_energy(p.dataflow, workload(p.workload), p.acc, p.psum,
-                         opt_.costs)
-      .total_pj();
 }
 
 namespace {
@@ -146,19 +141,6 @@ void Evaluator::fill_accuracy(
   }
 }
 
-Evaluator::PerfScore Evaluator::perf_score_for(const DesignPoint& p) {
-  const WorkloadPerformance perf = workload_performance(
-      p.dataflow, workload(p.workload), p.acc, p.psum, opt_.perf);
-  PerfScore s;
-  s.latency_s = perf.total_latency_s;
-  s.pe_utilization = perf.mean_utilization;
-  s.dram_bw_occupancy = perf.total_latency_s > 0.0
-                            ? perf.total_dram_time_s / perf.total_latency_s
-                            : 0.0;
-  s.macs = static_cast<double>(perf.total_macs);
-  return s;
-}
-
 WorkloadTelemetry Evaluator::telemetry_for(const DesignPoint& p) {
   p.validate();
   WorkloadTelemetry t =
@@ -174,17 +156,30 @@ EvalResult Evaluator::score(const DesignPoint& p, const PointKey& key) {
   r.point = p;
   r.obj.area_um2 = area_for(p, key);
   r.obj.error = error_for(p, key);
-  const PerfScore s = perf_score_for(p);
-  r.obj.energy_pj = energy_for(p);
-  r.obj.latency_s = s.latency_s;
-  r.obj.pe_utilization = s.pe_utilization;
-  r.obj.dram_bw_headroom = std::max(0.0, 1.0 - s.dram_bw_occupancy);
-  r.scored_by = to_string(EvalBackend::kAnalytic);
+  // One pass over the layers: each layer's traffic feeds both roll-ups,
+  // accumulated exactly as workload_energy and workload_performance do,
+  // so both are bit-identical to the standalone models.
+  EnergyBreakdown energy;
+  WorkloadPerformance perf;
+  double util_weighted = 0.0;
+  for (const LayerShape& layer : workload(p.workload).layers) {
+    const LayerTraffic t = layer_traffic(p.dataflow, layer, p.acc, p.psum);
+    const EnergyBreakdown e = layer_energy(layer, t, opt_.costs);
+    for (index_t i = 0; i < layer.repeat; ++i) energy += e;
+    accumulate_layer_performance(
+        perf, layer_performance(layer, p.acc, t, opt_.perf), layer.repeat,
+        util_weighted);
+  }
+  finalize_mean_utilization(perf, util_weighted);
+  r.obj.energy_pj = energy.total_pj();
+  r.obj.latency_s = perf.total_latency_s;
+  r.obj.pe_utilization = perf.mean_utilization;
+  r.obj.dram_bw_headroom = std::max(0.0, 1.0 - perf.dram_bw_occupancy());
   // Effective GMAC/s per mm² of silicon; 0 for a degenerate point rather
   // than inf/NaN (the finiteness gate below would reject those).
   r.obj.throughput_per_area =
       r.obj.latency_s > 0.0 && r.obj.area_um2 > 0.0
-          ? (s.macs / 1e9 / r.obj.latency_s) / (r.obj.area_um2 / 1e6)
+          ? perf.effective_gmacs() / (r.obj.area_um2 / 1e6)
           : 0.0;
   // A NaN objective would make Pareto dominance non-transitive and poison
   // front extraction; reject it at ingestion, where the offending point is

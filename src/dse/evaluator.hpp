@@ -6,10 +6,14 @@
 // latency — plus the telemetry-derived maximize trio (pe_utilization,
 // dram_bw_headroom, throughput_per_area; see sim/stats.hpp). Energy and
 // the performance-derived objectives come from the closed forms at full
-// workload scale: access counts (src/energy, Eqs. 1–6) and the
-// tile/bandwidth performance model (src/sim/performance). That is the
-// one scoring fidelity. The bit-exact simulator in src/sim is not in the
-// loop: it is the test oracle the closed forms are pinned equal to
+// workload scale, in one pass over the point's layers: each layer's
+// LayerTraffic (energy/layer_traffic.hpp: the access counts of Eqs. 3–6
+// and the operand bytes of Eq. 2) is evaluated once and feeds both the
+// energy roll-up (Eq. 1) and the tile/bandwidth performance roll-up
+// (src/sim/performance), each bit-identical to workload_energy and
+// workload_performance. That is the one scoring fidelity, so a result
+// carries no provenance field. The bit-exact simulator in src/sim is not
+// in the loop: it is the test oracle the closed forms are pinned equal to
 // (tests/sim/counts_vs_analytical_test.cpp for traffic,
 // tests/sim/sim_vs_analytic_test.cpp for energy, cycles and latency).
 //
@@ -23,8 +27,7 @@
 // reuses the overwhelming majority of both. Energy and latency depend on
 // every field of the point, so they are computed afresh on each score_tt_
 // miss; a repeated point is answered whole by score_tt_
-// (evaluate_point). The accuracy
-// keys a batch (evaluate_space / evaluate_points / evaluate_points_at)
+// (evaluate_point). The accuracy keys a batch (evaluate_space / evaluate_points / evaluate_points_at)
 // lacks are scored up front as one proxy batch per workload
 // (accuracy_proxy.hpp); the point loop then only reads the table. All
 // scoring functions are pure, every worker derives its randomness per
@@ -115,16 +118,6 @@ class Evaluator {
   static const Workload& workload(const std::string& name);
 
  private:
-  /// Analytic performance scalars of one point (the latency objective and
-  /// the telemetry-derived objective inputs).
-  struct PerfScore {
-    double latency_s = 0.0;
-    double pe_utilization = 0.0;
-    double dram_bw_occupancy = 0.0;
-    double macs = 0.0;
-  };
-
-  double energy_for(const DesignPoint& p);
   /// `key` is PointKey::of(p); the sub-tables key by projections of it.
   double area_for(const DesignPoint& p, const PointKey& key);
   double error_for(const DesignPoint& p, const PointKey& key);
@@ -134,7 +127,6 @@ class Evaluator {
   /// only reads the table.
   void fill_accuracy(index_t n,
                      const std::function<DesignPoint(index_t)>& point_at);
-  PerfScore perf_score_for(const DesignPoint& p);
   /// Score one point from scratch (the score_tt_ miss path).
   EvalResult score(const DesignPoint& p, const PointKey& key);
   /// Index loop over points: inline when threads == 1, on the shared pool

@@ -75,8 +75,7 @@ CsvWriter results_csv(const std::vector<EvalResult>& results,
   CsvWriter csv(header);
   for (const EvalResult& r : results) {
     std::vector<std::string> row = result_row(r);
-    if (!scored_by.empty())
-      row.push_back(r.scored_by.empty() ? scored_by : r.scored_by);
+    if (!scored_by.empty()) row.push_back(scored_by);
     csv.add_row(row);
   }
   return csv;
@@ -144,13 +143,13 @@ StatsWriter layer_stats_writer(Evaluator& eval,
       sw.add(p.acc.weight_buf_bytes);
       sw.add(p.acc.act_bits);
       sw.add(p.acc.weight_bits);
-      sw.add(t.source);
-      sw.add(ls.layer_name);
+      sw.add(to_string(EvalBackend::kAnalytic));
+      sw.add(ls.shape.name);
       sw.add(ls.layer_class);
       sw.add(ls.shape.rows);
       sw.add(ls.shape.ci);
       sw.add(ls.shape.co);
-      sw.add(ls.repeat);
+      sw.add(ls.shape.repeat);
       sw.add(ls.perf.tile_cycles);
       sw.add(ls.perf.mac_ops);
       sw.add(ls.perf.utilization);

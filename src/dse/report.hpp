@@ -29,10 +29,9 @@ std::string format_double(double v);
 /// order (bit widths included, so two rows of a fine-space front never
 /// read alike), plus every objective (one column per Objective, in enum
 /// order). A non-empty `scored_by` label
-/// ("analytic") appends a `scored_by` column so a persisted CSV records
-/// which models stand behind its absolute numbers. Rows carrying their
-/// own EvalResult::scored_by provenance (every evaluator-produced result)
-/// print that instead of the sweep-level label.
+/// (SweepConfig::scored_by_label(), "analytic") appends a `scored_by`
+/// column holding it on every row, so a persisted CSV records which
+/// models stand behind its absolute numbers.
 CsvWriter results_csv(const std::vector<EvalResult>& results,
                       const std::string& scored_by = "");
 

@@ -137,12 +137,11 @@ bool apply_request_field(const std::string& key, const JsonValue& v,
                           ", " + std::to_string(f->hi) + "], got " +
                           std::to_string(n));
       f->integer(r, n);
+    } else if (v.as_number() < 0) {
+      v.as_i64();  // a fraction still fails as "expected an integer"
+      request_error(source, where, "\"" + key + "\" must be >= 0");
     } else {
-      // JSON numbers are doubles: an integer above 2^53 arrives rounded
-      // to the nearest representable one (the CLI reads the full u64).
-      const i64 n = v.as_i64();
-      if (n < 0) request_error(source, where, "\"" + key + "\" must be >= 0");
-      f->non_negative(r, static_cast<u64>(n));
+      f->non_negative(r, v.as_u64());
     }
   } catch (const std::runtime_error&) {
     throw;  // already source-prefixed (the request_error calls above)

@@ -14,6 +14,9 @@ namespace {
 
 constexpr const char* kFormat = "apsq-evalstore";
 constexpr int kSchemaVersion = 1;
+/// The one scoring fidelity's label: every entry's "backend" and every
+/// row's "scored_by" hold it.
+constexpr const char* kAnalytic = "analytic";
 
 Dataflow parse_dataflow(const std::string& name) {
   if (name == "IS") return Dataflow::kIS;
@@ -99,8 +102,8 @@ void append_result_json(std::ostream& os, const EvalResult& r) {
      << ", \"ofmap_buf_bytes\": " << p.acc.ofmap_buf_bytes
      << ", \"weight_buf_bytes\": " << p.acc.weight_buf_bytes
      << ", \"act_bits\": " << p.acc.act_bits
-     << ", \"weight_bits\": " << p.acc.weight_bits << ", \"scored_by\": \""
-     << json_escape(r.scored_by) << "\"";
+     << ", \"weight_bits\": " << p.acc.weight_bits
+     << ", \"scored_by\": \"" << kAnalytic << "\"";
   for (int o = 0; o < kObjectiveCount; ++o) {
     const Objective obj = static_cast<Objective>(o);
     os << ", \"" << objective_column(obj)
@@ -266,7 +269,7 @@ size_t EvalStore::load_file(const std::string& path) {
       e.space_hash = je.get("space_hash").as_string();
       e.scoring = je.get("scoring").as_string();
       e.backend = je.get("backend").as_string();
-      if (e.backend != "analytic")
+      if (e.backend != kAnalytic)
         throw bad("entry " + std::to_string(ei) + ": backend \"" +
                   e.backend + "\" was removed; only analytic snapshots load");
       e.space_points = je.get("points").as_i64();
@@ -301,7 +304,11 @@ size_t EvalStore::load_file(const std::string& path) {
         p.acc.act_bits = static_cast<int>(row.get("act_bits").as_i64());
         p.acc.weight_bits = static_cast<int>(row.get("weight_bits").as_i64());
         p.validate();
-        r.scored_by = row.get("scored_by").as_string();
+        const std::string& scored_by = row.get("scored_by").as_string();
+        if (scored_by != kAnalytic)
+          throw bad("entry " + std::to_string(ei) + ", point " +
+                    std::to_string(idx) + ": scored_by \"" + scored_by +
+                    "\" was removed; only analytic rows load");
         for (int o = 0; o < kObjectiveCount; ++o) {
           const Objective obj = static_cast<Objective>(o);
           r.obj.set(obj, row.get(objective_column(obj)).as_number());

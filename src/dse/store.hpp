@@ -5,11 +5,12 @@
 // A snapshot entry is keyed by the *canonical config-space hash* (what
 // was swept) plus a *scoring key* (how it was scored —
 // SweepConfig::scoring_key(): the accuracy-proxy seed and, for a budgeted
-// search, its trajectory). Every entry holds closed-form ("analytic")
-// scores, the one scoring fidelity (evaluator.hpp). Within an entry,
-// results are keyed by point index in the space's enumeration order;
-// each row carries the full point identity, its scored_by provenance, and
-// every objective of ObjectiveSet::all() — so a reloaded entry can be
+// search, its trajectory). Every entry holds closed-form scores, the one
+// scoring fidelity, so rows carry no provenance: each entry's "backend"
+// and row's "scored_by" is the format constant "analytic". Within an
+// entry, results are keyed by point index in the space's enumeration
+// order; each row carries the full point identity and every objective of
+// ObjectiveSet::all() — so a reloaded entry can be
 // re-sliced over any objective subset or constraint-filtered without
 // touching the evaluator, and the fronts come out byte-identical to a
 // fresh sweep (doubles round-trip through "%.17g").
@@ -17,7 +18,7 @@
 // Snapshots are JSON (the emit side mirrors StatsWriter's conventions;
 // the read side is common/json.hpp). Loading is strict *and atomic*: an
 // unreadable, truncated, malformed, or version-mismatched file — or one
-// holding an entry scored by a removed backend (any label but
+// holding an entry or a row scored by a removed backend (any label but
 // "analytic") — throws std::runtime_error naming the file and the
 // reason, and leaves the in-memory store exactly as it was — a corrupt
 // snapshot must never crash the process, silently stand in for real
@@ -52,7 +53,7 @@ namespace apsq::dse {
 std::string config_space_hash(const ConfigSpace& space);
 
 /// Append one scored result as JSON object members (no braces): the full
-/// point identity, its scored_by provenance, and every objective column —
+/// point identity, "scored_by": "analytic", and every objective column —
 /// field names and order exactly as snapshot rows persist them. Shared by
 /// the snapshot serializer and the daemon's wire responses, so the two
 /// formats cannot drift.
@@ -81,9 +82,9 @@ class EvalStore {
   /// key replaces any in-memory one. Returns the number of entries
   /// loaded. Throws std::runtime_error — message prefixed with `path` —
   /// on an unreadable file, a parse error, a wrong format marker or
-  /// version, an entry whose backend label is not "analytic", or any
-  /// malformed/duplicate/out-of-range row; on a throw the store is left
-  /// unchanged (all-or-nothing merge).
+  /// version, an entry's backend or a row's scored_by other than
+  /// "analytic", or any malformed/duplicate/out-of-range row; on a throw
+  /// the store is left unchanged (all-or-nothing merge).
   size_t load_file(const std::string& path) APSQ_EXCLUDES(mu_);
 
   /// Serialize every entry (sorted by key — byte-stable across runs).

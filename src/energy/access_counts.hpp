@@ -12,6 +12,10 @@ enum class Dataflow { kIS, kWS, kOS };
 
 const char* to_string(Dataflow df);
 
+/// The four tensors a layer moves; also the index order of every
+/// per-operand array (LayerTraffic, TrafficCounters).
+enum class Operand { kIfmap = 0, kWeight = 1, kPsum = 2, kOfmap = 3 };
+
 /// How many times each element of a tensor is moved at each memory level.
 /// (The model is per-element: total bytes = size × count × bytes/elem.)
 struct AccessCounts {

@@ -5,7 +5,7 @@
 // number of ifmap tile positions T = ⌈rows/Po⌉ plays the role of
 // ⌈Hi/Pih⌉⌈Wi/Piw⌉ in the paper (1-D row tiling, see layer_shape.hpp).
 #include "common/math_util.hpp"
-#include "energy/access_counts.hpp"
+#include "energy/layer_traffic.hpp"
 
 namespace apsq {
 
@@ -21,16 +21,17 @@ AccessCounts is_access_counts(const LayerShape& layer,
   const i64 tile_positions = ceil_div(layer.rows, acc.po);
   const i64 ci_tiles = ceil_div(layer.ci, acc.pci);
 
-  const double sw_bytes =
-      static_cast<double>(layer.weight_elems()) * acc.weight_bytes();
+  const double sw_bytes = bytes_of(
+      Operand::kWeight, static_cast<double>(layer.weight_elems()), acc, psum);
   n.weight_fits = sw_bytes <= static_cast<double>(acc.weight_buf_bytes);
 
   // PSUM working set (Eq. 3's (Co/Pco)·S̃p with S̃p = bytes·Po·Pco,
   // times the gs footprint multiplier of the grouping strategy).
-  n.psum_footprint_bytes = psum.bytes_per_elem() *
-                           static_cast<double>(psum.footprint_multiplier()) *
-                           static_cast<double>(layer.co) *
-                           static_cast<double>(acc.po);
+  n.psum_footprint_bytes = bytes_of(
+      Operand::kPsum,
+      static_cast<double>(psum.footprint_multiplier()) *
+          static_cast<double>(layer.co) * static_cast<double>(acc.po),
+      acc, psum);
   n.psum_fits =
       n.psum_footprint_bytes <= static_cast<double>(acc.ofmap_buf_bytes);
   n.ifmap_fits = true;  // IS pins the ifmap tile; residency is by design.

@@ -6,7 +6,7 @@
 // tiles stream past: the ifmap is re-read once per output-channel tile
 // group and the weights once per output-row tile group.
 #include "common/math_util.hpp"
-#include "energy/access_counts.hpp"
+#include "energy/layer_traffic.hpp"
 
 namespace apsq {
 
@@ -23,10 +23,12 @@ AccessCounts os_access_counts(const LayerShape& layer,
   const i64 co_tiles = ceil_div(layer.co, acc.pco);
 
   // Same resident ci-slice criterion as WS (see dataflow_ws.cpp).
-  const double si_tile_bytes = static_cast<double>(layer.rows) *
-                               static_cast<double>(acc.pci) * acc.act_bytes();
-  const double sw_bytes =
-      static_cast<double>(layer.weight_elems()) * acc.weight_bytes();
+  const double si_tile_bytes =
+      bytes_of(Operand::kIfmap,
+               static_cast<double>(layer.rows) * static_cast<double>(acc.pci),
+               acc, psum);
+  const double sw_bytes = bytes_of(
+      Operand::kWeight, static_cast<double>(layer.weight_elems()), acc, psum);
   n.ifmap_fits = si_tile_bytes <= static_cast<double>(acc.ifmap_buf_bytes);
   n.weight_fits = sw_bytes <= static_cast<double>(acc.weight_buf_bytes);
 

@@ -5,7 +5,7 @@
 // ⌈Co/Pco⌉, and PSUMs for all ⌈rows/Po⌉ output tiles are live at once —
 // hence the (Ho·Wo/Po)·S̃p footprint of Eq. (5), the term APSQ attacks.
 #include "common/math_util.hpp"
-#include "energy/access_counts.hpp"
+#include "energy/layer_traffic.hpp"
 
 namespace apsq {
 
@@ -24,17 +24,20 @@ AccessCounts ws_access_counts(const LayerShape& layer,
   // S̃i — the enlarged input tile of Eq. (5): the ci-slice that must stay
   // resident while the co tile groups iterate (rows × Pci for a pointwise
   // GEMM; see [16] for the general conv enlargement).
-  const double si_tile_bytes = static_cast<double>(layer.rows) *
-                               static_cast<double>(acc.pci) * acc.act_bytes();
+  const double si_tile_bytes =
+      bytes_of(Operand::kIfmap,
+               static_cast<double>(layer.rows) * static_cast<double>(acc.pci),
+               acc, psum);
   n.ifmap_fits = si_tile_bytes <= static_cast<double>(acc.ifmap_buf_bytes);
   n.weight_fits = true;  // WS pins the weight tile; residency is by design.
 
   // (Ho·Wo/Po)·S̃p with S̃p = bytes·Po·Pco → bytes·rows·Pco, scaled by the
   // grouping footprint multiplier.
-  n.psum_footprint_bytes = psum.bytes_per_elem() *
-                           static_cast<double>(psum.footprint_multiplier()) *
-                           static_cast<double>(layer.rows) *
-                           static_cast<double>(acc.pco);
+  n.psum_footprint_bytes = bytes_of(
+      Operand::kPsum,
+      static_cast<double>(psum.footprint_multiplier()) *
+          static_cast<double>(layer.rows) * static_cast<double>(acc.pco),
+      acc, psum);
   n.psum_fits =
       n.psum_footprint_bytes <= static_cast<double>(acc.ofmap_buf_bytes);
 

@@ -13,20 +13,8 @@ EnergyBreakdown& EnergyBreakdown::operator+=(const EnergyBreakdown& other) {
   return *this;
 }
 
-EnergyBreakdown layer_energy(Dataflow df, const LayerShape& layer,
-                             const AcceleratorConfig& acc,
-                             const PsumConfig& psum, const EnergyCosts& costs) {
-  const AccessCounts n = compute_access_counts(df, layer, acc, psum);
-
-  const double si = static_cast<double>(layer.ifmap_elems()) * acc.act_bytes();
-  const double sw =
-      static_cast<double>(layer.weight_elems()) * acc.weight_bytes();
-  const double so = static_cast<double>(layer.ofmap_elems()) * acc.act_bytes();
-  // Eq. (2): PSUM traffic is scaled by β relative to the ofmap size —
-  // equivalently, each PSUM element moves psum bytes instead of act bytes.
-  const double sp =
-      static_cast<double>(layer.ofmap_elems()) * psum.bytes_per_elem();
-
+EnergyBreakdown layer_energy(const LayerShape& layer, const LayerTraffic& t,
+                             const EnergyCosts& costs) {
   EnergyBreakdown e;
   auto lane = [&](double size_bytes, i64 n_sram, i64 n_dram) {
     const double sram = size_bytes * static_cast<double>(n_sram) *
@@ -38,12 +26,19 @@ EnergyBreakdown layer_energy(Dataflow df, const LayerShape& layer,
     return sram + dram;
   };
 
-  e.ifmap_pj = lane(si, n.ifmap_sram, n.ifmap_dram);
-  e.weight_pj = lane(sw, n.weight_sram, n.weight_dram);
-  e.psum_pj = lane(sp, n.psum_sram, n.psum_dram);
-  e.ofmap_pj = lane(so, n.ofmap_sram, n.ofmap_dram);
+  const AccessCounts& n = t.counts;
+  e.ifmap_pj = lane(t.operand_bytes[0], n.ifmap_sram, n.ifmap_dram);
+  e.weight_pj = lane(t.operand_bytes[1], n.weight_sram, n.weight_dram);
+  e.psum_pj = lane(t.operand_bytes[2], n.psum_sram, n.psum_dram);
+  e.ofmap_pj = lane(t.operand_bytes[3], n.ofmap_sram, n.ofmap_dram);
   e.mac_pj = static_cast<double>(layer.macs()) * costs.emac_pj;
   return e;
+}
+
+EnergyBreakdown layer_energy(Dataflow df, const LayerShape& layer,
+                             const AcceleratorConfig& acc,
+                             const PsumConfig& psum, const EnergyCosts& costs) {
+  return layer_energy(layer, layer_traffic(df, layer, acc, psum), costs);
 }
 
 EnergyBreakdown workload_energy(Dataflow df, const Workload& w,

@@ -4,8 +4,8 @@
 
 #include <vector>
 
-#include "energy/access_counts.hpp"
 #include "energy/costs.hpp"
+#include "energy/layer_traffic.hpp"
 
 namespace apsq {
 
@@ -33,6 +33,11 @@ struct EnergyBreakdown {
 
   EnergyBreakdown& operator+=(const EnergyBreakdown& other);
 };
+
+/// Energy of one layer instance: its traffic priced per byte at each
+/// memory level (Eq. 1), plus its MACs.
+EnergyBreakdown layer_energy(const LayerShape& layer, const LayerTraffic& t,
+                             const EnergyCosts& costs = EnergyCosts::horowitz());
 
 /// Energy of a single layer instance under a dataflow / PSUM config.
 EnergyBreakdown layer_energy(Dataflow df, const LayerShape& layer,

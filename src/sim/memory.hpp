@@ -12,10 +12,9 @@
 
 #include "common/check.hpp"
 #include "common/types.hpp"
+#include "energy/access_counts.hpp"
 
 namespace apsq {
-
-enum class Operand { kIfmap = 0, kWeight = 1, kPsum = 2, kOfmap = 3 };
 
 const char* to_string(Operand op);
 

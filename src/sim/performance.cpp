@@ -21,9 +21,9 @@ void validate_perf(const PerfConfig& perf) {
 
 }  // namespace
 
-LayerPerformance layer_performance(Dataflow df, const LayerShape& layer,
+LayerPerformance layer_performance(const LayerShape& layer,
                                    const AcceleratorConfig& acc,
-                                   const PsumConfig& psum,
+                                   const LayerTraffic& traffic,
                                    const PerfConfig& perf) {
   acc.validate();
   validate_perf(perf);
@@ -45,22 +45,20 @@ LayerPerformance layer_performance(Dataflow df, const LayerShape& layer,
   p.compute_time_s = static_cast<double>(p.tile_cycles) / perf.clock_hz;
 
   // DRAM traffic from the access-count model (Eqs. 4 / 6).
-  const AccessCounts n = compute_access_counts(df, layer, acc, psum);
-  const double si = static_cast<double>(layer.ifmap_elems()) * acc.act_bytes();
-  const double sw =
-      static_cast<double>(layer.weight_elems()) * acc.weight_bytes();
-  const double so = static_cast<double>(layer.ofmap_elems()) * acc.act_bytes();
-  const double sp =
-      static_cast<double>(layer.ofmap_elems()) * psum.bytes_per_elem();
-  p.dram_bytes = si * static_cast<double>(n.ifmap_dram) +
-                 sw * static_cast<double>(n.weight_dram) +
-                 sp * static_cast<double>(n.psum_dram) +
-                 so * static_cast<double>(n.ofmap_dram);
+  p.dram_bytes = traffic.dram_bytes();
   p.dram_time_s = p.dram_bytes / (perf.dram_bandwidth_gbps * 1e9);
 
   p.latency_s = std::max(p.compute_time_s, p.dram_time_s);
   p.dram_bound = p.dram_time_s > p.compute_time_s;
   return p;
+}
+
+LayerPerformance layer_performance(Dataflow df, const LayerShape& layer,
+                                   const AcceleratorConfig& acc,
+                                   const PsumConfig& psum,
+                                   const PerfConfig& perf) {
+  return layer_performance(layer, acc, layer_traffic(df, layer, acc, psum),
+                           perf);
 }
 
 void accumulate_layer_performance(WorkloadPerformance& total,

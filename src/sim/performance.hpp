@@ -7,7 +7,7 @@
 // performance side of the energy story.
 #pragma once
 
-#include "energy/access_counts.hpp"
+#include "energy/layer_traffic.hpp"
 
 namespace apsq {
 
@@ -21,7 +21,7 @@ struct LayerPerformance {
   i64 mac_ops = 0;          ///< useful MACs
   double utilization = 0.0; ///< mac_ops / (tile_cycles · array MACs/cycle)
   double compute_time_s = 0.0;
-  double dram_bytes = 0.0;
+  double dram_bytes = 0.0;   ///< LayerTraffic::dram_bytes()
   double dram_time_s = 0.0;   ///< traffic / peak bandwidth
   double latency_s = 0.0;     ///< max(compute, DRAM) — double-buffered overlap
   bool dram_bound = false;
@@ -37,6 +37,12 @@ struct WorkloadPerformance {
   index_t dram_bound_layers = 0;
   index_t layer_count = 0;
 
+  /// Σ dram_time / Σ latency (0 for an empty run). The complement
+  /// 1 − occupancy is the dram_bw_headroom DSE objective.
+  double dram_bw_occupancy() const {
+    return total_latency_s > 0.0 ? total_dram_time_s / total_latency_s : 0.0;
+  }
+
   /// Effective throughput in GMAC/s over the whole run.
   double effective_gmacs() const {
     return total_latency_s > 0.0 ? static_cast<double>(total_macs) / 1e9 /
@@ -44,6 +50,12 @@ struct WorkloadPerformance {
                                  : 0.0;
   }
 };
+
+/// Performance of one layer instance whose traffic is already evaluated.
+LayerPerformance layer_performance(const LayerShape& layer,
+                                   const AcceleratorConfig& acc,
+                                   const LayerTraffic& traffic,
+                                   const PerfConfig& perf = PerfConfig{});
 
 /// Performance of one layer instance under a dataflow / PSUM config.
 LayerPerformance layer_performance(Dataflow df, const LayerShape& layer,

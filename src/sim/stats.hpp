@@ -4,10 +4,13 @@
 // (WorkloadPerformance); everything per-layer — which layers are
 // DRAM-bound, where the PE array runs ragged, how the traffic splits by
 // operand — was thrown away at the roll-up. This registry keeps it: one
-// LayerStats row per layer instance, with the invariant that summing the
-// rows reproduces workload_performance *bit-for-bit* (the accumulation
-// expressions are shared through accumulate_layer_performance). It feeds
-// the apsq_dse --layer-stats-csv dump.
+// LayerStats row per layer instance, built from the same LayerTraffic
+// (energy/layer_traffic.hpp) the scorer charges, so its SRAM bytes and
+// per-operand DRAM split are the bytes energy and latency are computed
+// from. Summing the rows reproduces workload_performance *bit-for-bit*
+// (the accumulation expressions are shared through
+// accumulate_layer_performance). It feeds the apsq_dse --layer-stats-csv
+// dump, whose scored_by column is the constant "analytic".
 #pragma once
 
 #include <array>
@@ -18,19 +21,15 @@
 
 namespace apsq {
 
-/// One telemetry row: a layer instance (× repeat).
+/// One telemetry row: a layer instance (× shape.repeat).
 struct LayerStats {
-  std::string layer_name;
-  std::string layer_class;  ///< layer_class_of(layer_name)
-  index_t repeat = 1;
-  LayerShape shape;  ///< the full layer this row describes
-
-  LayerPerformance perf;  ///< one-instance performance
-
+  LayerShape shape;         ///< the layer this row describes
+  std::string layer_class;  ///< layer_class_of(shape.name)
+  LayerPerformance perf;    ///< one-instance performance
   double sram_bytes = 0.0;  ///< on-chip traffic, one instance
   /// DRAM traffic split by operand (ifmap, weight, psum, ofmap — the
-  /// Operand enum order), one instance. Informational split of
-  /// perf.dram_bytes; the sum may differ from it in the last ulp.
+  /// Operand enum order), one instance. Added left to right, the four
+  /// give perf.dram_bytes exactly.
   std::array<double, 4> dram_operand_bytes{};
 
   /// dram_time / latency for this layer, in [0, 1] (dram_time ≤ latency
@@ -47,19 +46,12 @@ struct LayerStats {
 /// A whole run's telemetry: per-layer rows plus the roll-up contract.
 struct WorkloadTelemetry {
   std::string workload;
-  /// Fidelity provenance ("analytic"), the layer CSV's scored_by column.
-  std::string source;
   std::vector<LayerStats> rows;
 
   /// Sum the rows back into the aggregate view. Bit-identical to
   /// workload_performance — the tests in tests/sim/stats_test.cpp pin
   /// this down with EXPECT_EQ on doubles.
   WorkloadPerformance roll_up() const;
-
-  /// Whole-run DRAM-bandwidth occupancy: Σ dram_time / Σ latency
-  /// (0 for an empty run). The complement 1 − occupancy is the
-  /// dram_bw_headroom DSE objective.
-  double dram_bw_occupancy() const;
 };
 
 /// Canonical layer class of a layer-instance name: the stage prefix
@@ -72,8 +64,7 @@ struct WorkloadTelemetry {
 std::string layer_class_of(const std::string& layer_name);
 
 /// Telemetry of the closed-form models: one row per workload layer at
-/// full scale, built from layer_performance and the access-count model
-/// (the same per-operand byte sizes the energy model charges).
+/// full scale, each built from one layer_traffic evaluation.
 WorkloadTelemetry analytic_telemetry(Dataflow df, const Workload& w,
                                      const AcceleratorConfig& acc,
                                      const PsumConfig& psum,

@@ -6,8 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 namespace apsq {
@@ -46,9 +49,51 @@ TEST(Json, NumbersRoundTripThroughSeventeenSignificantDigits) {
   const JsonValue v = json_parse("[0.1, 1e-300, 9007199254740993.0]");
   EXPECT_DOUBLE_EQ(v.at(0).as_number(), 0.1);
   EXPECT_DOUBLE_EQ(v.at(1).as_number(), 1e-300);
-  // 2^53 + 1 is not exactly representable — as_i64 must reject rather
-  // than silently round, but as_number returns the nearest double.
+  // 2^53 + 1 is not exactly representable: as_number returns the nearest
+  // double.
   EXPECT_DOUBLE_EQ(v.at(2).as_number(), 9007199254740992.0);
+}
+
+TEST(Json, IntegerLiteralsStayExactTo64Bits) {
+  const JsonValue v = json_parse(
+      "[9007199254740993, 18446744073709551615, -9223372036854775808,"
+      " 9223372036854775807, -0, 18446744073709551616, 1e3, 2.5, -1]");
+  // Integer literals (no fraction, no exponent) are read exactly.
+  EXPECT_EQ(v.at(0).as_i64(), i64{9007199254740993});
+  EXPECT_EQ(v.at(0).as_u64(), u64{9007199254740993});
+  EXPECT_EQ(v.at(1).as_u64(), ~u64{0});
+  EXPECT_THROW(v.at(1).as_i64(), std::invalid_argument);  // past i64
+  EXPECT_EQ(v.at(2).as_i64(), std::numeric_limits<i64>::min());
+  EXPECT_EQ(v.at(3).as_i64(), std::numeric_limits<i64>::max());
+  EXPECT_EQ(v.at(4).as_u64(), 0u);
+  // Past u64, and fractions, are not integers; 1e3 is one.
+  EXPECT_THROW(v.at(5).as_u64(), std::invalid_argument);
+  EXPECT_EQ(v.at(6).as_u64(), 1000u);
+  EXPECT_THROW(v.at(7).as_u64(), std::invalid_argument);
+  EXPECT_THROW(v.at(8).as_u64(), std::invalid_argument);
+  EXPECT_EQ(v.at(8).as_i64(), -1);
+  // A fraction or exponent literal is read through its double, which from
+  // 2^53 on no longer names one integer: 2^53 + 1 written that way must
+  // be rejected, not read as 2^53. Just below 2^53 it is still exact.
+  const JsonValue w = json_parse(
+      "[9007199254740993.0, 9.007199254740993e15, 9007199254740991.0,"
+      " -9.007199254740991e15]");
+  EXPECT_THROW(w.at(0).as_i64(), std::invalid_argument);
+  EXPECT_THROW(w.at(0).as_u64(), std::invalid_argument);
+  EXPECT_THROW(w.at(1).as_i64(), std::invalid_argument);
+  EXPECT_THROW(w.at(1).as_u64(), std::invalid_argument);
+  EXPECT_EQ(w.at(2).as_u64(), u64{9007199254740991});
+  EXPECT_EQ(w.at(3).as_i64(), i64{-9007199254740991});
+  // as_number still gives the double strtod would, sign of zero included.
+  for (const char* text :
+       {"9007199254740993", "9007199254740995", "12345678901234567",
+        "-9223372036854775807", "9223372036854775809",
+        "18446744073709551615", "-0"}) {
+    const double d = json_parse(text).as_number();
+    EXPECT_EQ(d, std::strtod(text, nullptr)) << text;
+    EXPECT_EQ(std::signbit(d), std::signbit(std::strtod(text, nullptr)))
+        << text;
+  }
 }
 
 TEST(Json, AccessorsThrowNamingActualType) {

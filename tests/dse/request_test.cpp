@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "common/json.hpp"
 
@@ -115,6 +116,42 @@ TEST(RequestGrammar, CliKeepsHexAndFullRangeSeeds) {
             FlagResult::kApplied);
   EXPECT_EQ(r.config.search_seed, ~u64{0});
   EXPECT_TRUE(r.config.search_seed_set);
+}
+
+TEST(RequestGrammar, JsonSeedsAreExactTo64Bits) {
+  // 2^53 + 1 has no double: a JSON seed must not round to 2^53.
+  RequestSpec r;
+  apply_request_object(json_parse("{\"seed\": 9007199254740993}"), r,
+                       "<test>", "request", /*allow_name=*/false);
+  EXPECT_EQ(r.config.seed, u64{9007199254740993});
+  // JSON accepts the full u64 range the CLI accepts, with the same result.
+  RequestSpec by_flag, by_key;
+  ASSERT_EQ(apply_request_flag("--seed", "18446744073709551615", by_flag),
+            FlagResult::kApplied);
+  apply_request_object(json_parse("{\"seed\": 18446744073709551615}"),
+                       by_key, "<test>", "request", /*allow_name=*/false);
+  EXPECT_EQ(by_key.config.seed, ~u64{0});
+  EXPECT_EQ(dump(by_flag), dump(by_key));
+  // One past it, fractions and negatives stay rejected as before, and so
+  // does 2^53 + 1 written with a fraction (its double is 2^53).
+  for (const auto& [text, message] :
+       {std::pair<const char*, const char*>{"{\"seed\": 18446744073709551616}",
+                                            "expected an integer"},
+        {"{\"seed\": 2.5}", "expected an integer"},
+        {"{\"seed\": 9007199254740993.0}", "expected an integer"},
+        {"{\"seed\": -1.5}", "expected an integer"},
+        {"{\"seed\": -1}", "\"seed\" must be >= 0"}}) {
+    RequestSpec rejected;
+    try {
+      apply_request_object(json_parse(text), rejected, "<test>", "request",
+                           /*allow_name=*/false);
+      ADD_FAILURE() << text << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << text << ": " << e.what();
+    }
+    EXPECT_EQ(dump(rejected), dump(RequestSpec{})) << text;
+  }
 }
 
 TEST(RequestGrammar, FlagOnlyAndJsonOnlyFieldsStayOnTheirSide) {

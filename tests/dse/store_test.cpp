@@ -362,6 +362,40 @@ TEST(EvalStore, LoadRejectsSnapshotsOfRemovedBackends) {
   std::remove(path.c_str());
 }
 
+TEST(EvalStore, LoadRejectsRowsScoredByARemovedBackend) {
+  // Rows carry no provenance of their own: a row whose "scored_by" is not
+  // "analytic" inside an analytic entry is rejected naming the entry and
+  // the point, and the load merges nothing.
+  SweepConfig cfg;
+  cfg.space = "smoke";
+  cfg.threads = 1;
+  SweepSession session(cfg);
+  const SweepOutcome out = session.run();
+  const std::string hash = config_space_hash(session.space());
+  EvalStore saved;
+  saved.put(hash, cfg.scoring_key(), cfg.scored_by_label(), 8, out.results);
+  std::string text = saved.to_json();
+  const std::string from = "\"scored_by\": \"analytic\"";
+  const size_t at = text.find(from, text.find("{\"i\": 5, "));
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, from.size(), "\"scored_by\": \"sim\"");
+  const std::string path = temp_path("row_scored_by.json");
+  write_file(path, text);
+
+  expect_load_error(path, "entry 0, point 5: scored_by \"sim\" was removed");
+  // A store holding another entry keeps exactly that entry.
+  EvalStore warm;
+  const std::string other_hash(16, 'f');
+  warm.put(other_hash, cfg.scoring_key(), cfg.scored_by_label(), 8,
+           out.results);
+  EXPECT_THROW(warm.load_file(path), std::runtime_error);
+  EXPECT_EQ(warm.entry_count(), 1u);
+  EXPECT_EQ(warm.source(), "");
+  EXPECT_NE(warm.find(other_hash, cfg.scoring_key()), nullptr);
+  EXPECT_EQ(warm.find(hash, cfg.scoring_key()), nullptr);
+  std::remove(path.c_str());
+}
+
 TEST(EvalStore, PartialSnapshotBatchesOnlyTheMisses) {
   // Evaluate the space, drop half the rows, and reload: the session must
   // answer the surviving rows from the store and evaluate exactly the

@@ -12,9 +12,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/json.hpp"
+#include "dse/request.hpp"
 #include "dse/store.hpp"
+#include "dse/sweep.hpp"
 #include "serve/dispatcher.hpp"
 #include "serve/server.hpp"
 
@@ -84,6 +87,37 @@ TEST(Protocol, QueryResponseCarriesFrontRowsAndTelemetry) {
   // CI greps the daemon's warm response for this exact fragment.
   EXPECT_NE(warm.response.find("\"fresh_evaluations\": 0"),
             std::string::npos);
+}
+
+TEST(Protocol, SeedAbove2To53AnswersWarmFromACliWrittenStore) {
+  // 2^53 + 1 has no double. A smoke store written through the CLI flags
+  // with that seed must answer a daemon query naming the same seed warm:
+  // the JSON seed is read exactly, not rounded to 2^53 and re-scored.
+  const std::string path =
+      ::testing::TempDir() + "apsq_protocol_big_seed.json";
+  dse::RequestSpec cli;
+  std::ostringstream err;
+  for (const auto& [flag, text] :
+       {std::pair<const char*, std::string>{"--space", "smoke"},
+        {"--threads", "1"},
+        {"--seed", "9007199254740993"},
+        {"--store-out", path}})
+    ASSERT_EQ(dse::apply_request_flag(flag, text.c_str(), cli, err),
+              dse::FlagResult::kApplied)
+        << err.str();
+  EXPECT_EQ(dse::SweepSession(cli.config).run().fresh_evaluations, 8);
+
+  dse::EvalStore store;
+  ASSERT_EQ(store.load_file(path), 1u);
+  Dispatcher d(store);
+  const LineResult warm = handle_request_line(
+      d, "{\"space\": \"smoke\", \"threads\": 1,"
+         " \"seed\": 9007199254740993}");
+  ASSERT_TRUE(warm.ok) << warm.response;
+  const JsonValue doc = parsed_response(warm);
+  EXPECT_EQ(doc.get("stats").get("fresh_evaluations").as_i64(), 0);
+  EXPECT_EQ(doc.get("stats").get("store_hits").as_i64(), 8);
+  std::remove(path.c_str());
 }
 
 TEST(Protocol, SearchQueryAnswersSparseAndWarmRepliesFromTheStore) {
