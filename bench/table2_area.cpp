@@ -36,14 +36,14 @@ int main() {
   std::cout << "--- Component breakdown: baseline ---\n";
   Table tb({"Component", "Count", "Unit (um^2)", "Total (um^2)"});
   for (const auto& item : base.items)
-    tb.add_row({item.component, std::to_string(item.count),
+    tb.add_row({std::string(item.component), std::to_string(item.count),
                 Table::num(item.unit_um2, 2), Table::num(item.total_um2(), 0)});
   tb.print(std::cout);
 
   std::cout << "\n--- Component breakdown: RAE ---\n";
   Table tr({"Component", "Count", "Unit (um^2)", "Total (um^2)"});
   for (const auto& item : rae.items)
-    tr.add_row({item.component, std::to_string(item.count),
+    tr.add_row({std::string(item.component), std::to_string(item.count),
                 Table::num(item.unit_um2, 2), Table::num(item.total_um2(), 0)});
   tr.print(std::cout);
   return 0;

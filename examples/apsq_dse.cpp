@@ -181,10 +181,10 @@ bool parse(int argc, char** argv, Options& o) {
   return true;
 }
 
-void print_cache_line(const char* name, const CacheStats& s, bool last) {
+void print_cache_line(const char* name, const CacheStats& s) {
   std::cout << name << " " << s.hits << "/" << s.misses;
   if (s.races > 0) std::cout << "/" << s.races << "r";
-  std::cout << (last ? "\n" : ", ");
+  std::cout << "\n";
 }
 
 /// Print the sweep report (summary, optional stats, front table) and
@@ -224,8 +224,7 @@ bool print_report(SweepSession& session, const SweepOutcome& out,
   }
   if (o.stats) {
     std::cout << "cache hits/misses[/races] — ";
-    print_cache_line("area", eval.area_cache_stats(), false);
-    print_cache_line("accuracy", eval.accuracy_cache_stats(), true);
+    print_cache_line("accuracy", eval.accuracy_cache_stats());
     const WorkStealingPool& pool = WorkStealingPool::shared();
     std::cout << "pool: " << pool.num_threads() << " threads, "
               << pool.run_count() << " runs, " << pool.steal_count()

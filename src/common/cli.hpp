@@ -8,7 +8,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <stdexcept>
@@ -86,35 +85,6 @@ inline bool parse_u64_flag(const char* flag, const char* text, u64& out,
   return true;
 }
 
-/// Parse a floating-point value in [lo, hi]. NaN is always rejected;
-/// "inf" is accepted when `hi` is infinite. Same whole-token /
-/// flag-naming contract as the integer parsers.
-inline bool parse_double_flag(const char* flag, const char* text, double lo,
-                              double hi, double& out,
-                              std::ostream& err = std::cerr) {
-  if (text == nullptr || *text == '\0') {
-    err << flag << ": empty value\n";
-    return false;
-  }
-  if (std::isspace(static_cast<unsigned char>(*text))) {
-    err << flag << ": expected a number, got '" << text << "'\n";
-    return false;
-  }
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || std::isnan(v)) {
-    err << flag << ": expected a number, got '" << text << "'\n";
-    return false;
-  }
-  if (v < lo || v > hi) {
-    err << flag << ": value " << text << " out of range [" << lo << ", " << hi
-        << "]\n";
-    return false;
-  }
-  out = v;
-  return true;
-}
-
 /// Cross-flag validation: a flag that only makes sense in some mode (e.g.
 /// --budget without --mode search) must exit 1 naming the flag
 /// and the requirement, never run a sweep that silently ignores it.
@@ -125,15 +95,6 @@ inline bool flag_requires(bool flag_given, const char* flag,
                           std::ostream& err = std::cerr) {
   if (!flag_given || requirement_met) return true;
   err << flag << ": requires " << requirement << "\n";
-  return false;
-}
-
-/// Cross-flag validation: two flags that select conflicting behaviours
-/// must exit 1 naming both, never let one silently win. Returns true when at most one is given.
-inline bool flags_exclusive(bool a_given, const char* a, bool b_given,
-                            const char* b, std::ostream& err = std::cerr) {
-  if (!a_given || !b_given) return true;
-  err << a << " and " << b << " are mutually exclusive\n";
   return false;
 }
 

@@ -4,72 +4,63 @@
 
 namespace apsq::dse {
 
-std::vector<AxisDesc> ConfigSpace::axes() const {
-  std::vector<AxisDesc> ax;
-  ax.push_back({"workload", static_cast<index_t>(workloads.size()),
-                [this](DesignPoint& p, index_t v) {
-                  p.workload = workloads[static_cast<size_t>(v)];
-                }});
-  ax.push_back({"dataflow", static_cast<index_t>(dataflows.size()),
-                [this](DesignPoint& p, index_t v) {
-                  p.dataflow = dataflows[static_cast<size_t>(v)];
-                }});
-  ax.push_back({"psum", static_cast<index_t>(psum_configs.size()),
-                [this](DesignPoint& p, index_t v) {
-                  p.psum = psum_configs[static_cast<size_t>(v)];
-                }});
-  ax.push_back({"geometry", static_cast<index_t>(geometries.size()),
-                [this](DesignPoint& p, index_t v) {
-                  const PeGeometry& g = geometries[static_cast<size_t>(v)];
-                  p.acc.po = g.po;
-                  p.acc.pci = g.pci;
-                  p.acc.pco = g.pco;
-                }});
-  ax.push_back({"buffers", static_cast<index_t>(buffers.size()),
-                [this](DesignPoint& p, index_t v) {
-                  const BufferSizing& b = buffers[static_cast<size_t>(v)];
-                  p.acc.ifmap_buf_bytes = b.ifmap_bytes;
-                  p.acc.ofmap_buf_bytes = b.ofmap_bytes;
-                  p.acc.weight_buf_bytes = b.weight_bytes;
-                }});
+AxisList ConfigSpace::axes() const {
+  const auto count = [](const auto& values) {
+    return static_cast<index_t>(values.size());
+  };
+  AxisList ax;
+  ax.push_back({Axis::kWorkload, count(workloads)});
+  ax.push_back({Axis::kDataflow, count(dataflows)});
+  ax.push_back({Axis::kPsum, count(psum_configs)});
+  ax.push_back({Axis::kGeometry, count(geometries)});
+  ax.push_back({Axis::kBuffers, count(buffers)});
   // Fine axes append after the coarse ones (faster-varying) and override
   // the single field the coarse decode already wrote, so a legacy space
   // (all fine axes empty) enumerates byte-identically to the historic
   // five-axis divmod chain.
   if (!ifmap_bytes_axis.empty())
-    ax.push_back({"ifmap_bytes", static_cast<index_t>(ifmap_bytes_axis.size()),
-                  [this](DesignPoint& p, index_t v) {
-                    p.acc.ifmap_buf_bytes = ifmap_bytes_axis[static_cast<size_t>(v)];
-                  }});
+    ax.push_back({Axis::kIfmapBytes, count(ifmap_bytes_axis)});
   if (!ofmap_bytes_axis.empty())
-    ax.push_back({"ofmap_bytes", static_cast<index_t>(ofmap_bytes_axis.size()),
-                  [this](DesignPoint& p, index_t v) {
-                    p.acc.ofmap_buf_bytes = ofmap_bytes_axis[static_cast<size_t>(v)];
-                  }});
+    ax.push_back({Axis::kOfmapBytes, count(ofmap_bytes_axis)});
   if (!weight_bytes_axis.empty())
-    ax.push_back({"weight_bytes",
-                  static_cast<index_t>(weight_bytes_axis.size()),
-                  [this](DesignPoint& p, index_t v) {
-                    p.acc.weight_buf_bytes =
-                        weight_bytes_axis[static_cast<size_t>(v)];
-                  }});
+    ax.push_back({Axis::kWeightBytes, count(weight_bytes_axis)});
   if (!act_bits_axis.empty())
-    ax.push_back({"act_bits", static_cast<index_t>(act_bits_axis.size()),
-                  [this](DesignPoint& p, index_t v) {
-                    p.acc.act_bits = act_bits_axis[static_cast<size_t>(v)];
-                  }});
+    ax.push_back({Axis::kActBits, count(act_bits_axis)});
   if (!weight_bits_axis.empty())
-    ax.push_back({"weight_bits", static_cast<index_t>(weight_bits_axis.size()),
-                  [this](DesignPoint& p, index_t v) {
-                    p.acc.weight_bits = weight_bits_axis[static_cast<size_t>(v)];
-                  }});
+    ax.push_back({Axis::kWeightBits, count(weight_bits_axis)});
   return ax;
+}
+
+void ConfigSpace::apply(Axis a, index_t v, DesignPoint& p) const {
+  const size_t i = static_cast<size_t>(v);
+  switch (a) {
+    case Axis::kWorkload: p.workload = workloads[i]; return;
+    case Axis::kDataflow: p.dataflow = dataflows[i]; return;
+    case Axis::kPsum: p.psum = psum_configs[i]; return;
+    case Axis::kGeometry:
+      p.acc.po = geometries[i].po;
+      p.acc.pci = geometries[i].pci;
+      p.acc.pco = geometries[i].pco;
+      return;
+    case Axis::kBuffers:
+      p.acc.ifmap_buf_bytes = buffers[i].ifmap_bytes;
+      p.acc.ofmap_buf_bytes = buffers[i].ofmap_bytes;
+      p.acc.weight_buf_bytes = buffers[i].weight_bytes;
+      return;
+    case Axis::kIfmapBytes: p.acc.ifmap_buf_bytes = ifmap_bytes_axis[i]; return;
+    case Axis::kOfmapBytes: p.acc.ofmap_buf_bytes = ofmap_bytes_axis[i]; return;
+    case Axis::kWeightBytes:
+      p.acc.weight_buf_bytes = weight_bytes_axis[i];
+      return;
+    case Axis::kActBits: p.acc.act_bits = act_bits_axis[i]; return;
+    case Axis::kWeightBits: p.acc.weight_bits = weight_bits_axis[i]; return;
+  }
 }
 
 namespace {
 
 /// Product of the axis lengths, overflow-checked.
-index_t point_count(const std::vector<AxisDesc>& ax) {
+index_t point_count(const AxisList& ax) {
   index_t n = 1;
   for (const AxisDesc& axis : ax) {
     index_t next = 0;
@@ -85,20 +76,33 @@ index_t point_count(const std::vector<AxisDesc>& ax) {
 index_t ConfigSpace::size() const { return point_count(axes()); }
 
 DesignPoint ConfigSpace::at(index_t i) const {
-  const std::vector<AxisDesc> ax = axes();
-  APSQ_CHECK_MSG(i >= 0 && i < point_count(ax),
-                 "design-point index out of range");
-  // Mixed-radix digits, last axis fastest. All 64-bit: a digit of a
-  // >2³²-point space must never pass through a narrower intermediate.
-  std::vector<index_t> digit(ax.size(), 0);
+  APSQ_CHECK_MSG(i >= 0, "design-point index out of range");
+  const AxisList ax = axes();
+  // Mixed-radix digits, last axis fastest. A digit of a >2³²-point space
+  // must never pass through a narrower intermediate, so 32-bit division
+  // (several times cheaper than 64-bit on common x86 cores) is used only
+  // while both operands fit. i < size() exactly when nothing is left
+  // over after the slowest axis, so the range check needs no product.
+  std::array<index_t, kAxisCount> digit{};
+  u64 rest = static_cast<u64>(i);
   for (size_t a = ax.size(); a-- > 0;) {
-    digit[a] = i % ax[a].count;
-    i /= ax[a].count;
+    const u64 count = static_cast<u64>(ax[a].count);
+    APSQ_CHECK_MSG(count > 0, "design-point index out of range");
+    if ((rest | count) >> 32 == 0) {
+      const u32 r = static_cast<u32>(rest);
+      const u32 c = static_cast<u32>(count);
+      digit[a] = static_cast<index_t>(r % c);
+      rest = r / c;
+    } else {
+      digit[a] = static_cast<index_t>(rest % count);
+      rest /= count;
+    }
   }
+  APSQ_CHECK_MSG(rest == 0, "design-point index out of range");
   DesignPoint p;
   p.acc.act_bits = act_bits;
   p.acc.weight_bits = weight_bits;
-  for (size_t a = 0; a < ax.size(); ++a) ax[a].apply(p, digit[a]);
+  for (size_t a = 0; a < ax.size(); ++a) apply(ax[a].axis, digit[a], p);
   return p;
 }
 

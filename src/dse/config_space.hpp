@@ -3,12 +3,13 @@
 // buffer-byte and operand-precision axes. Points are indexed 0..size()-1
 // in a fixed mixed-radix order, so the space never needs materializing and
 // every run (serial or parallel) sees the identical enumeration. Axes are
-// declared data (AxisDesc: name, value count, decoder), so the index
-// arithmetic — 64-bit throughout, overflow-checked — lives in one generic
-// decode loop instead of per-axis divmod chains.
+// declared data (AxisDesc: which field an axis writes, and its value
+// count) in one fixed-capacity list, so the index arithmetic — 64-bit
+// throughout, overflow-checked — lives in one generic decode loop, and a
+// decode allocates nothing beyond the point it returns.
 #pragma once
 
-#include <functional>
+#include <array>
 #include <string>
 #include <vector>
 
@@ -30,14 +31,42 @@ struct BufferSizing {
   i64 weight_bytes = 128 * 1024;
 };
 
-/// One enumeration axis, declared as data: a name, how many values it
-/// takes, and a decoder writing value index `v` (0 <= v < count) into a
-/// DesignPoint. `apply` captures the owning ConfigSpace by reference, so
-/// descriptors must not outlive the space that produced them.
+/// The DesignPoint field (or field group) an enumeration axis writes.
+enum class Axis {
+  kWorkload,
+  kDataflow,
+  kPsum,
+  kGeometry,
+  kBuffers,
+  kIfmapBytes,
+  kOfmapBytes,
+  kWeightBytes,
+  kActBits,
+  kWeightBits,
+};
+inline constexpr size_t kAxisCount = static_cast<size_t>(Axis::kWeightBits) + 1;
+
+/// One enumeration axis, declared as data: the field it writes and how
+/// many values it takes. ConfigSpace::at writes value index `v`
+/// (0 <= v < count) of the axis into a DesignPoint.
 struct AxisDesc {
-  std::string name;
+  Axis axis = Axis::kWorkload;
   index_t count = 0;
-  std::function<void(DesignPoint&, index_t)> apply;
+};
+
+/// A space's axes in decode order. Fixed capacity (one slot per Axis), so
+/// building one never touches the heap.
+class AxisList {
+ public:
+  void push_back(AxisDesc a) { items_[size_++] = a; }
+  const AxisDesc* begin() const { return items_.data(); }
+  const AxisDesc* end() const { return items_.data() + size_; }
+  size_t size() const { return size_; }
+  const AxisDesc& operator[](size_t i) const { return items_[i]; }
+
+ private:
+  std::array<AxisDesc, kAxisCount> items_{};
+  size_t size_ = 0;
 };
 
 class ConfigSpace {
@@ -68,9 +97,10 @@ class ConfigSpace {
 
   /// The enumeration axes in decode order: workload slowest, then
   /// dataflow, psum, geometry, buffers, then any fine axes — the last
-  /// axis varies fastest, so neighbouring indices share workload/energy
-  /// sub-keys and the memo caches warm quickly.
-  std::vector<AxisDesc> axes() const;
+  /// axis varies fastest, so neighbouring indices share workload and
+  /// accuracy sub-keys and the memo caches warm quickly. size() and at()
+  /// read this same list.
+  AxisList axes() const;
 
   /// Number of points (product of axis lengths), computed in 64-bit with
   /// an overflow check: a space too large for index_t throws instead of
@@ -104,6 +134,10 @@ class ConfigSpace {
   /// same bit-widths, and the INT32 full-precision baseline — 26 settings,
   /// all distinct canonical keys.
   static std::vector<PsumConfig> default_psum_axis();
+
+ private:
+  /// Write value `v` of axis `a` into `p`.
+  void apply(Axis a, index_t v, DesignPoint& p) const;
 };
 
 }  // namespace apsq::dse

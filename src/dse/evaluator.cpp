@@ -53,16 +53,6 @@ const Workload& Evaluator::workload(const std::string& name) {
 
 namespace {
 
-/// The area sub-key: area ignores workload and dataflow, and reads the
-/// PSUM config only for whether an RAE is instantiated (apsq).
-PointKey area_key(PointKey k) {
-  k.workload = 0;
-  k.dataflow = 0;
-  k.psum_bits = 0;
-  k.group_size = 0;
-  return k;
-}
-
 /// The accuracy sub-key: the proxy reads only (workload, psum, pci).
 PointKey accuracy_key(const PointKey& k) {
   PointKey a;
@@ -75,16 +65,6 @@ PointKey accuracy_key(const PointKey& k) {
 }
 
 }  // namespace
-
-double Evaluator::area_for(const DesignPoint& p, const PointKey& key) {
-  // The RAE is only instantiated for APSQ configs (a plain low-bit or
-  // full-precision PSUM path needs no requantization engine).
-  return area_tt_.lookup_or_compute(area_key(key), [&] {
-    return p.psum.apsq
-               ? accelerator_with_rae_area(p.acc, opt_.area_lib).total_um2()
-               : baseline_accelerator_area(p.acc, opt_.area_lib).total_um2();
-  });
-}
 
 double Evaluator::error_for(const DesignPoint& p, const PointKey& key) {
   return accuracy_tt_.lookup_or_compute(accuracy_key(key), [&] {
@@ -150,12 +130,13 @@ WorkloadTelemetry Evaluator::telemetry_for(const DesignPoint& p) {
   return t;
 }
 
-EvalResult Evaluator::score(const DesignPoint& p, const PointKey& key) {
+Objectives Evaluator::score(const DesignPoint& p, const PointKey& key) {
   p.validate();
-  EvalResult r;
-  r.point = p;
-  r.obj.area_um2 = area_for(p, key);
-  r.obj.error = error_for(p, key);
+  Objectives obj;
+  // The RAE is only instantiated for APSQ configs (a plain low-bit or
+  // full-precision PSUM path needs no requantization engine).
+  obj.area_um2 = accelerator_area_um2(p.acc, p.psum.apsq, opt_.area_lib);
+  obj.error = error_for(p, key);
   // One pass over the layers: each layer's traffic feeds both roll-ups,
   // accumulated exactly as workload_energy and workload_performance do,
   // so both are bit-identical to the standalone models.
@@ -171,27 +152,27 @@ EvalResult Evaluator::score(const DesignPoint& p, const PointKey& key) {
         util_weighted);
   }
   finalize_mean_utilization(perf, util_weighted);
-  r.obj.energy_pj = energy.total_pj();
-  r.obj.latency_s = perf.total_latency_s;
-  r.obj.pe_utilization = perf.mean_utilization;
-  r.obj.dram_bw_headroom = std::max(0.0, 1.0 - perf.dram_bw_occupancy());
+  obj.energy_pj = energy.total_pj();
+  obj.latency_s = perf.total_latency_s;
+  obj.pe_utilization = perf.mean_utilization;
+  obj.dram_bw_headroom = std::max(0.0, 1.0 - perf.dram_bw_occupancy());
   // Effective GMAC/s per mm² of silicon; 0 for a degenerate point rather
   // than inf/NaN (the finiteness gate below would reject those).
-  r.obj.throughput_per_area =
-      r.obj.latency_s > 0.0 && r.obj.area_um2 > 0.0
-          ? perf.effective_gmacs() / (r.obj.area_um2 / 1e6)
+  obj.throughput_per_area =
+      obj.latency_s > 0.0 && obj.area_um2 > 0.0
+          ? perf.effective_gmacs() / (obj.area_um2 / 1e6)
           : 0.0;
   // A NaN objective would make Pareto dominance non-transitive and poison
   // front extraction; reject it at ingestion, where the offending point is
   // still known.
-  APSQ_CHECK_MSG(r.obj.all_finite(),
+  APSQ_CHECK_MSG(obj.all_finite(),
                  "non-finite objective for " << canonical_key(p));
-  return r;
+  return obj;
 }
 
 EvalResult Evaluator::evaluate_point(const DesignPoint& p, EvalBackend) {
   const PointKey key = PointKey::of(p);
-  return score_tt_.lookup_or_compute(key, [&] { return score(p, key); });
+  return {p, score_tt_.lookup_or_compute(key, [&] { return score(p, key); })};
 }
 
 std::vector<EvalResult> Evaluator::evaluate_points_at(
@@ -234,7 +215,6 @@ void Evaluator::parallel_for_points(
   }
 }
 
-CacheStats Evaluator::area_cache_stats() const { return area_tt_.stats(); }
 CacheStats Evaluator::accuracy_cache_stats() const {
   return accuracy_tt_.stats();
 }

@@ -19,21 +19,24 @@
 //
 // Every memo is keyed by the point's PointKey (design_point.hpp), a
 // fixed-size struct exact for any DesignPoint — from any space or from a
-// daemon request — so no string is formatted on the scoring path. Two
-// sub-evaluations are memoized under sub-keys projected from it (the
-// fields they ignore zeroed): area depends only on the accelerator
-// geometry, buffers, precisions and whether an RAE exists, and the
-// accuracy proxy only on (workload, psum, pci), so a cartesian sweep
-// reuses the overwhelming majority of both. Energy and latency depend on
-// every field of the point, so they are computed afresh on each score_tt_
-// miss; a repeated point is answered whole by score_tt_
-// (evaluate_point). The accuracy keys a batch (evaluate_space / evaluate_points / evaluate_points_at)
-// lacks are scored up front as one proxy batch per workload
-// (accuracy_proxy.hpp); the point loop then only reads the table. All
-// scoring functions are pure, every worker derives its randomness per
-// work item via Rng::stream, and results land in index-addressed slots,
-// so a parallel sweep is byte-identical to a serial one. Parallel
-// evaluation runs on the process-wide WorkStealingPool::shared().
+// daemon request — so no string is formatted on the scoring path. The
+// accuracy proxy is memoized under a sub-key projected from it (the
+// fields it ignores zeroed): it reads only (workload, psum, pci), so a
+// cartesian sweep reuses the overwhelming majority of it. Area depends
+// only on the accelerator geometry, buffers, precisions and whether an
+// RAE exists, and is cheap enough to compute afresh per point
+// (accelerator_area_um2 builds no report). Energy and latency depend on
+// every field of the point, so they are computed afresh on each
+// score_tt_ miss; score_tt_ stores a point's Objectives only, and a
+// repeated point is answered by evaluate_point from it, paired with the
+// caller's point. The accuracy keys a batch (evaluate_space /
+// evaluate_points / evaluate_points_at) lacks are scored up front as one
+// proxy batch per workload (accuracy_proxy.hpp); the point loop then only
+// reads the table. All scoring functions are pure, every worker derives
+// its randomness per work item via Rng::stream, and results land in
+// index-addressed slots, so a parallel sweep is byte-identical to a
+// serial one. Parallel evaluation runs on the process-wide
+// WorkStealingPool::shared().
 #pragma once
 
 #include <functional>
@@ -85,10 +88,11 @@ class Evaluator {
   /// Score one point (memoized, thread-safe).
   EvalResult evaluate(const DesignPoint& p);
 
-  /// The point-at-a-time scoring oracle: score one point, memoized
-  /// whole-result in the shared transposition table under the point's
-  /// PointKey. Thread-safe and pure, so parallel search workers
-  /// hitting overlapping points pay each score once.
+  /// The point-at-a-time scoring oracle: score one point, its objectives
+  /// memoized in the shared transposition table under the point's
+  /// PointKey, and return them with `p`. Thread-safe and pure, so
+  /// parallel search workers hitting overlapping points pay each score
+  /// once.
   EvalResult evaluate_point(const DesignPoint& p, EvalBackend fidelity);
 
   /// Batch flavour of evaluate_point: results in index-addressed slots
@@ -108,9 +112,8 @@ class Evaluator {
   /// Score an explicit point list (same determinism guarantees).
   std::vector<EvalResult> evaluate_points(const std::vector<DesignPoint>& pts);
 
-  CacheStats area_cache_stats() const;
   CacheStats accuracy_cache_stats() const;
-  /// Whole-result oracle table (evaluate_point) counters.
+  /// Point-score oracle table (evaluate_point) counters.
   CacheStats score_tt_stats() const;
 
   /// Bundled-workload registry ("bert", "llama2", "segformer",
@@ -118,8 +121,8 @@ class Evaluator {
   static const Workload& workload(const std::string& name);
 
  private:
-  /// `key` is PointKey::of(p); the sub-tables key by projections of it.
-  double area_for(const DesignPoint& p, const PointKey& key);
+  /// `key` is PointKey::of(p); the accuracy table keys by a projection
+  /// of it.
   double error_for(const DesignPoint& p, const PointKey& key);
   /// Score every accuracy key the points point_at(0 … n-1) need and the
   /// table lacks, before a batch's point loop: one proxy batch per
@@ -128,17 +131,16 @@ class Evaluator {
   void fill_accuracy(index_t n,
                      const std::function<DesignPoint(index_t)>& point_at);
   /// Score one point from scratch (the score_tt_ miss path).
-  EvalResult score(const DesignPoint& p, const PointKey& key);
+  Objectives score(const DesignPoint& p, const PointKey& key);
   /// Index loop over points: inline when threads == 1, on the shared pool
   /// otherwise.
   void parallel_for_points(index_t n, const std::function<void(index_t)>& fn);
 
   EvaluatorOptions opt_;
-  // Every memo is one sharded TranspositionTable (dse/tt.hpp): the two
-  // sub-evaluation tables plus the whole-result oracle table.
-  TranspositionTable<PointKey, double> area_tt_;
+  // Every memo is one sharded TranspositionTable (dse/tt.hpp): the
+  // accuracy sub-table plus the point-score oracle table.
   TranspositionTable<PointKey, double> accuracy_tt_;
-  TranspositionTable<PointKey, EvalResult> score_tt_;
+  TranspositionTable<PointKey, Objectives> score_tt_;
 };
 
 }  // namespace apsq::dse

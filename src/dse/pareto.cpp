@@ -5,7 +5,6 @@
 #include <map>
 #include <numeric>
 #include <string>
-#include <unordered_set>
 #include <utility>
 
 #include "common/check.hpp"
@@ -36,6 +35,36 @@ bool row_dominates(const double* a, const double* b, size_t k) {
   return strictly_better;
 }
 
+/// Positions in `cands` of the first occurrence of each distinct
+/// PointKey, ascending. An open-addressing table of candidate positions,
+/// probed by key hash: one flat allocation instead of a heap node per
+/// key, and keys are rebuilt only to confirm a hash match.
+std::vector<size_t> first_occurrences(
+    const std::vector<const EvalResult*>& cands) {
+  struct Slot {
+    size_t hash = 0;
+    size_t pos = 0;  ///< candidate position + 1; 0 marks an empty slot
+  };
+  size_t capacity = 1;
+  while (capacity < 2 * cands.size()) capacity <<= 1;
+  std::vector<Slot> slots(capacity);
+  std::vector<size_t> unique;
+  unique.reserve(cands.size());
+  for (size_t i = 0; i < cands.size(); ++i) {
+    const PointKey key = PointKey::of(cands[i]->point);
+    const size_t h = key.hash();
+    size_t s = h & (capacity - 1);
+    for (; slots[s].pos != 0; s = (s + 1) & (capacity - 1))
+      if (slots[s].hash == h &&
+          PointKey::of(cands[slots[s].pos - 1]->point) == key)
+        break;
+    if (slots[s].pos != 0) continue;  // a repeat: the first one stays
+    slots[s] = {h, i + 1};
+    unique.push_back(i);
+  }
+  return unique;
+}
+
 /// Positions in `cands` of its non-dominated candidates, ascending.
 /// Exact duplicate configurations (equal PointKey) are first collapsed to
 /// their first occurrence.
@@ -48,12 +77,7 @@ std::vector<size_t> nondominated(const std::vector<const EvalResult*>& cands,
                      "non-finite " << to_string(o)
                                    << " in pareto_front candidate "
                                    << canonical_key(c->point));
-  std::unordered_set<PointKey> seen;
-  seen.reserve(cands.size());
-  std::vector<size_t> unique;
-  unique.reserve(cands.size());
-  for (size_t i = 0; i < cands.size(); ++i)
-    if (seen.insert(PointKey::of(cands[i]->point)).second) unique.push_back(i);
+  const std::vector<size_t> unique = first_occurrences(cands);
 
   // One flat row of minimized values per candidate, so the sort and the
   // sweep read contiguous doubles instead of switching per objective.
@@ -68,8 +92,10 @@ std::vector<size_t> nondominated(const std::vector<const EvalResult*>& cands,
   // values) every dominated point is dominated by a member of the front
   // built so far. Each candidate is therefore compared against that
   // front — typically far smaller than the candidate set — and the scan
-  // stops at the first dominator found. Ties in the order never change
-  // the surviving set.
+  // stops at the first dominator found, which then swaps places with the
+  // head of the scan: a member that dominated one candidate tends to
+  // dominate its neighbours in the order. Neither ties in the order nor
+  // the scan order change the surviving set.
   std::vector<size_t> order(unique.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
@@ -83,10 +109,17 @@ std::vector<size_t> nondominated(const std::vector<const EvalResult*>& cands,
   std::vector<size_t> survivors;
   for (const size_t u : order) {
     const double* row = rows.data() + u * k;
-    bool dominated = false;
-    for (size_t f = 0; f < front_rows.size() && !dominated; f += k)
-      dominated = row_dominates(front_rows.data() + f, row, k);
-    if (dominated) continue;
+    size_t f = 0;
+    while (f < front_rows.size() &&
+           !row_dominates(front_rows.data() + f, row, k))
+      f += k;
+    if (f < front_rows.size()) {
+      if (f != 0)
+        std::swap_ranges(front_rows.begin() + static_cast<std::ptrdiff_t>(f),
+                         front_rows.begin() + static_cast<std::ptrdiff_t>(f + k),
+                         front_rows.begin());
+      continue;
+    }
     front_rows.insert(front_rows.end(), row, row + k);
     survivors.push_back(unique[u]);
   }

@@ -21,12 +21,14 @@ namespace apsq::dse {
 /// The non-dominated subset of `points` under the active objectives,
 /// sorted by canonical_key. Points with identical objectives but different
 /// configurations tie and are all kept; exact duplicates (equal PointKey)
-/// are collapsed to their first occurrence in input order. Extraction
-/// uses a sort-based sweep over a flat row per candidate (candidates in
-/// ascending lexicographic objective order are only ever dominated by the
-/// front built so far), so large sweeps cost roughly O(n·|front|)
-/// comparisons instead of O(n²). canonical_key is built for the survivors
-/// only. Every *active* objective must be finite — NaN breaks dominance
+/// are collapsed to their first occurrence in input order, through one
+/// flat open-addressing table of candidate positions (no heap node per
+/// key). Extraction uses a sort-based sweep over a flat row per candidate
+/// (candidates in ascending lexicographic objective order are only ever
+/// dominated by the front built so far), so large sweeps cost roughly
+/// O(n·|front|) comparisons instead of O(n²); a front row that dominates
+/// a candidate swaps places with the head of the scan. canonical_key is built for
+/// the survivors only. Every *active* objective must be finite — NaN breaks dominance
 /// transitivity — and non-finite candidates throw; inactive objective
 /// fields are never read and may hold sentinels.
 std::vector<EvalResult> pareto_front(

@@ -207,9 +207,13 @@ std::vector<EvalResult> extract_front(
   if (!constraints.empty()) filtered = filter_results(results, constraints);
   const std::vector<EvalResult>& basis =
       constraints.empty() ? results : filtered;
+  std::vector<EvalResult> front =
+      pareto_front_by_workload(basis, cfg.objectives);
+  // A point its own workload dominates is dominated globally, so the
+  // cross-workload front is the front of the per-workload fronts.
   if (global_front_size != nullptr)
-    *global_front_size = pareto_front(basis, cfg.objectives).size();
-  return pareto_front_by_workload(basis, cfg.objectives);
+    *global_front_size = pareto_front(front, cfg.objectives).size();
+  return front;
 }
 
 SweepOutcome SweepSession::run() {
@@ -373,7 +377,6 @@ StatsWriter SweepSession::stats_writer(const SweepOutcome& out) const {
   put("store_hits", out.store_hits);
   put("eval_secs", out.secs);
   put("threads", cfg_.resolved_threads());
-  put_cache("area", eval_->area_cache_stats());
   put_cache("accuracy", eval_->accuracy_cache_stats());
   const WorkStealingPool& pool = WorkStealingPool::shared();
   put("pool_threads", pool.num_threads());

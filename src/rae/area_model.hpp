@@ -12,7 +12,7 @@
 // target; absolute numbers are calibrated to the same order of magnitude.
 #pragma once
 
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/types.hpp"
@@ -34,9 +34,10 @@ struct AreaLibrary {
   static AreaLibrary tsmc28_typical() { return AreaLibrary{}; }
 };
 
-/// One line of the area report.
+/// One line of the area report. The name is a string literal, so an item
+/// holds no heap memory.
 struct AreaItem {
-  std::string component;
+  std::string_view component;
   index_t count = 0;
   double unit_um2 = 0.0;
   double total_um2() const { return static_cast<double>(count) * unit_um2; }
@@ -62,6 +63,13 @@ AreaReport rae_area(const AcceleratorConfig& cfg,
 /// Combined accelerator w/ RAE — Table II row 3.
 AreaReport accelerator_with_rae_area(
     const AcceleratorConfig& cfg,
+    const AreaLibrary& lib = AreaLibrary::tsmc28_typical());
+
+/// total_um2() of accelerator_with_rae_area (with_rae) or
+/// baseline_accelerator_area (!with_rae), bit-identical: the same items
+/// summed in the same order, without building the report.
+double accelerator_area_um2(
+    const AcceleratorConfig& cfg, bool with_rae,
     const AreaLibrary& lib = AreaLibrary::tsmc28_typical());
 
 }  // namespace apsq

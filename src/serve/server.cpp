@@ -20,6 +20,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 #endif
 
@@ -91,10 +92,22 @@ bool send_all(int fd, const std::string& data) {
   return true;
 }
 
+/// Make every recv() on `fd` give up after `timeout` without data.
+void set_recv_timeout(int fd, std::chrono::milliseconds timeout) {
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>(timeout.count() % 1000 * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
 /// One connection: buffered line reads, one response line per request.
 /// A line longer than kMaxRequestLineBytes is answered with an error and
-/// ends the connection.
-void serve_connection(Dispatcher& dispatcher, ServerState& state, int fd) {
+/// ends the connection. Every read waits at most the idle timeout, so a
+/// silent client (or one that never closes after an oversize line) ends
+/// the connection too.
+void serve_connection(Dispatcher& dispatcher, ServerState& state, int fd,
+                      std::chrono::milliseconds idle_timeout) {
+  set_recv_timeout(fd, idle_timeout);
   std::string buf;
   char chunk[4096];
   for (;;) {
@@ -113,7 +126,7 @@ void serve_connection(Dispatcher& dispatcher, ServerState& state, int fd) {
     }
     if (nl == std::string::npos) {
       const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-      if (n <= 0) break;  // disconnect, error, or shutdown() from stop
+      if (n <= 0) break;  // disconnect, error, idle timeout, or stop
       buf.append(chunk, static_cast<size_t>(n));
       continue;
     }
@@ -218,8 +231,8 @@ int serve_tcp(Dispatcher& dispatcher, const ServeOptions& opts) {
       continue;
     }
     try {
-      std::thread t([&dispatcher, &state, fd] {
-        serve_connection(dispatcher, state, fd);
+      std::thread t([&dispatcher, &state, fd, idle = opts.idle_timeout] {
+        serve_connection(dispatcher, state, fd, idle);
       });
       const std::thread::id id = t.get_id();
       threads.emplace(id, std::move(t));

@@ -8,6 +8,7 @@
 // the TCP server speaks.
 #pragma once
 
+#include <chrono>
 #include <iosfwd>
 #include <string>
 
@@ -30,6 +31,9 @@ struct ServeOptions {
   std::string port_file;
   /// Startup/shutdown log lines go here (nullptr = silent).
   std::ostream* log = nullptr;
+  /// A connection that sends nothing for this long is closed, and so is
+  /// one still sending after an oversize line once it pauses this long.
+  std::chrono::milliseconds idle_timeout{std::chrono::minutes(5)};
 };
 
 /// Bind 127.0.0.1, accept connections (one service thread each, joined
@@ -37,7 +41,8 @@ struct ServeOptions {
 /// shutdown command. Requests from separate connections run concurrently
 /// through the shared dispatcher — that concurrency is what miss
 /// coalescing exists for. A request line longer than kMaxRequestLineBytes
-/// is answered with an error and its connection closed. Returns 0 on a clean
+/// is answered with an error and its connection closed, as is a
+/// connection idle for `opts.idle_timeout`. Returns 0 on a clean
 /// shutdown, 1 on a setup failure (bind/listen), with the reason on
 /// `opts.log` if set.
 int serve_tcp(Dispatcher& dispatcher, const ServeOptions& opts);

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-#include <limits>
 #include <sstream>
 
 #include "dse/evaluator.hpp"
@@ -80,32 +78,6 @@ TEST(CliParse, U64RejectsNegativeAndJunk) {
   EXPECT_EQ(v, 7ULL);
 }
 
-TEST(CliParse, DoubleAcceptsDecimalsAndInf) {
-  double v = -1.0;
-  const double inf = std::numeric_limits<double>::infinity();
-  std::ostringstream err;
-  EXPECT_TRUE(parse_double_flag("--promote-band", "0.05", 0.0, inf, v, err));
-  EXPECT_EQ(v, 0.05);
-  EXPECT_TRUE(parse_double_flag("--promote-band", "0", 0.0, inf, v, err));
-  EXPECT_EQ(v, 0.0);
-  EXPECT_TRUE(parse_double_flag("--promote-band", "inf", 0.0, inf, v, err));
-  EXPECT_TRUE(std::isinf(v));
-  EXPECT_TRUE(err.str().empty());
-}
-
-TEST(CliParse, DoubleRejectsJunkRangeAndNan) {
-  double v = 0.25;
-  std::ostringstream err;
-  EXPECT_FALSE(parse_double_flag("--promote-band", "band", 0.0, 1.0, v, err));
-  EXPECT_NE(err.str().find("--promote-band"), std::string::npos);
-  EXPECT_FALSE(parse_double_flag("--promote-band", "0.5x", 0.0, 1.0, v, err));
-  EXPECT_FALSE(parse_double_flag("--promote-band", "", 0.0, 1.0, v, err));
-  EXPECT_FALSE(parse_double_flag("--promote-band", "-0.1", 0.0, 1.0, v, err));
-  EXPECT_FALSE(parse_double_flag("--promote-band", "2.0", 0.0, 1.0, v, err));
-  EXPECT_FALSE(parse_double_flag("--promote-band", "nan", 0.0, 1.0, v, err));
-  EXPECT_EQ(v, 0.25);  // untouched on failure
-}
-
 TEST(CliParse, EnumFlagRejectsUnknownValuesByFlagName) {
   // The silent-fallback failure mode: a typo'd --backend must fail the
   // parse (→ exit 1) with the flag named, never run a default sweep.
@@ -161,20 +133,6 @@ TEST(CliParse, FlagRequiresNamesTheFlagAndTheRequirement) {
                             "--backend mixed", quiet));
   EXPECT_TRUE(flag_requires(true, "--promote-budget", true,
                             "--backend mixed", quiet));
-  EXPECT_TRUE(quiet.str().empty());
-}
-
-TEST(CliParse, FlagsExclusiveNamesBothFlags) {
-  std::ostringstream err;
-  EXPECT_FALSE(flags_exclusive(true, "--promote-adaptive", true,
-                               "--promote-budget", err));
-  EXPECT_NE(err.str().find("--promote-adaptive"), std::string::npos);
-  EXPECT_NE(err.str().find("--promote-budget"), std::string::npos);
-  std::ostringstream quiet;
-  EXPECT_TRUE(flags_exclusive(true, "--promote-adaptive", false,
-                              "--promote-budget", quiet));
-  EXPECT_TRUE(flags_exclusive(false, "--promote-adaptive", true,
-                              "--promote-budget", quiet));
   EXPECT_TRUE(quiet.str().empty());
 }
 

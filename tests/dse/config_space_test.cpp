@@ -4,6 +4,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <vector>
 
 namespace apsq::dse {
 namespace {
@@ -89,6 +90,36 @@ TEST(ConfigSpace, FineDefaultIsMillionPointScale) {
   EXPECT_EQ(p.acc.weight_buf_bytes, s.weight_bytes_axis.back());
   EXPECT_EQ(p.acc.act_bits, s.act_bits_axis.back());
   EXPECT_EQ(p.acc.weight_bits, s.weight_bits_axis.back());
+}
+
+TEST(ConfigSpace, FineDecodeIsPinned) {
+  // Indices, enumeration order and every decoded field of the fine space
+  // are part of stored snapshots and search trajectories: pin them.
+  const ConfigSpace s = ConfigSpace::fine_default();
+  ASSERT_EQ(s.size(), index_t{61641216});
+  EXPECT_EQ(canonical_key(s.at(0)),
+            "wl=bert|df=IS|pb=4|apsq=1|gs=1|po=1|pci=4|pco=4|bi=65536|"
+            "bo=65536|bw=32768|ab=4|wb=4");
+  EXPECT_EQ(canonical_key(s.at(1)),
+            "wl=bert|df=IS|pb=4|apsq=1|gs=1|po=1|pci=4|pco=4|bi=65536|"
+            "bo=65536|bw=32768|ab=4|wb=8");
+  EXPECT_EQ(canonical_key(s.at(1234567)),
+            "wl=bert|df=IS|pb=6|apsq=1|gs=3|po=2|pci=8|pco=32|bi=524288|"
+            "bo=98304|bw=98304|ab=4|wb=8");
+  EXPECT_EQ(canonical_key(s.at(31000000)),
+            "wl=segformer|df=IS|pb=4|apsq=1|gs=1|po=32|pci=8|pco=32|"
+            "bi=98304|bo=98304|bw=49152|ab=8|wb=4");
+  EXPECT_EQ(canonical_key(s.at(49999999)),
+            "wl=efficientvit|df=IS|pb=16|apsq=1|gs=4|po=1|pci=8|pco=32|"
+            "bi=196608|bo=65536|bw=49152|ab=4|wb=8");
+  EXPECT_EQ(canonical_key(s.at(s.size() - 1)),
+            "wl=efficientvit|df=OS|pb=32|apsq=0|gs=1|po=32|pci=32|pco=32|"
+            "bi=524288|bo=524288|bw=262144|ab=8|wb=8");
+  // axes() lists the fields in decode order, slowest first.
+  std::vector<index_t> counts;
+  for (const AxisDesc& a : s.axes()) counts.push_back(a.count);
+  EXPECT_EQ(counts,
+            (std::vector<index_t>{4, 3, 26, 96, 1, 7, 7, 7, 3, 2}));
 }
 
 TEST(ConfigSpace, IndexArithmeticSurvivesBeyond32Bits) {

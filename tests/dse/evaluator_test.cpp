@@ -55,14 +55,12 @@ TEST(Evaluator, RepeatedEvaluationHitsTheCacheAndMatches) {
   const EvalResult a = eval.evaluate(p);
   EXPECT_EQ(eval.score_tt_stats().misses, 1);
   EXPECT_EQ(eval.score_tt_stats().hits, 0);
-  EXPECT_EQ(eval.area_cache_stats().misses, 1);
 
   const EvalResult b = eval.evaluate(p);
-  // The repeat is a whole-result transposition-table hit — the sub-caches
-  // are never consulted again.
+  // The repeat is a score transposition-table hit — the accuracy table
+  // is never consulted again.
   EXPECT_EQ(eval.score_tt_stats().misses, 1);
   EXPECT_EQ(eval.score_tt_stats().hits, 1);
-  EXPECT_EQ(eval.area_cache_stats().lookups(), 1);
   EXPECT_EQ(eval.accuracy_cache_stats().lookups(), 1);
 
   // Bit-identical, not just close.
@@ -72,15 +70,14 @@ TEST(Evaluator, RepeatedEvaluationHitsTheCacheAndMatches) {
 }
 
 TEST(Evaluator, SubEvaluationCachesShareAcrossPoints) {
-  // Same geometry + psum mode, different dataflow: area and accuracy are
-  // sub-key cache hits even though the full points differ.
+  // Same geometry + psum mode, different dataflow: accuracy is a sub-key
+  // cache hit even though the full points differ.
   Evaluator eval;
   DesignPoint a = bert_point(PsumConfig::apsq_int8(2));
   DesignPoint b = a;
   b.dataflow = Dataflow::kIS;
   eval.evaluate(a);
   eval.evaluate(b);
-  EXPECT_EQ(eval.area_cache_stats().hits, 1);
   EXPECT_EQ(eval.accuracy_cache_stats().hits, 1);
   EXPECT_EQ(eval.score_tt_stats().misses, 2);  // the full points differ
 }
@@ -107,8 +104,8 @@ TEST(Evaluator, ParallelEqualsSerialByteIdentical) {
 TEST(Evaluator, CacheStatsReconcileWithLookups) {
   // hits + misses + races must equal the lookup count for any schedule —
   // the races counter absorbs duplicate computes under contention. The
-  // whole-result score TT fronts the sub-caches, so the warm re-run is
-  // pure score-TT hits and never reaches them.
+  // score TT fronts the accuracy table, so the warm re-run is pure
+  // score-TT hits and never reaches it.
   const ConfigSpace space = ConfigSpace::smoke();
   EvaluatorOptions opt;
   opt.threads = 4;
@@ -122,8 +119,6 @@ TEST(Evaluator, CacheStatsReconcileWithLookups) {
   // first-run computes, and the warm run added pure hits.
   EXPECT_EQ(ss.misses + ss.races, cold);
   EXPECT_EQ(ss.hits, cold);
-  // The area table saw exactly the cold computes, once each.
-  EXPECT_EQ(eval.area_cache_stats().lookups(), cold);
   // The accuracy table is filled before the cold point loop: one miss per
   // distinct key (smoke: one workload and one pci, so one key per PSUM
   // config), one hit per point read, and no races at any thread count —
@@ -222,6 +217,49 @@ TEST(Evaluator, LatencyObjectiveMatchesPerformanceModel) {
                   (area / 1e6))
         << key;
   }
+}
+
+TEST(Evaluator, AreaMatchesTheAreaReportsOverTheFineGrid) {
+  // The scorer sums the Table II items without building a report; over
+  // every area-relevant field combination of the fine space (geometry,
+  // buffers, precisions, RAE or not) it must equal the reports' totals
+  // exactly.
+  const ConfigSpace fine = ConfigSpace::fine_default();
+  const EvaluatorOptions opt;
+  size_t checked = 0;
+  for (const PeGeometry& g : fine.geometries) {
+    std::vector<DesignPoint> pts;
+    for (const PsumConfig psum :
+         {PsumConfig::apsq_int8(1), PsumConfig::baseline_int32()})
+      for (const i64 bi : fine.ifmap_bytes_axis)
+        for (const i64 bo : fine.ofmap_bytes_axis)
+          for (const i64 bw : fine.weight_bytes_axis)
+            for (const int ab : fine.act_bits_axis)
+              for (const int wb : fine.weight_bits_axis) {
+                DesignPoint p = bert_point(psum);
+                p.acc.po = g.po;
+                p.acc.pci = g.pci;
+                p.acc.pco = g.pco;
+                p.acc.ifmap_buf_bytes = bi;
+                p.acc.ofmap_buf_bytes = bo;
+                p.acc.weight_buf_bytes = bw;
+                p.acc.act_bits = ab;
+                p.acc.weight_bits = wb;
+                pts.push_back(p);
+              }
+    // One evaluator per geometry keeps the score table small.
+    Evaluator eval(opt);
+    for (const EvalResult& r : eval.evaluate_points(pts)) {
+      const AcceleratorConfig& acc = r.point.acc;
+      const double area =
+          (r.point.psum.apsq ? accelerator_with_rae_area(acc, opt.area_lib)
+                             : baseline_accelerator_area(acc, opt.area_lib))
+              .total_um2();
+      ASSERT_EQ(r.obj.area_um2, area) << canonical_key(r.point);
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, size_t{96 * 7 * 7 * 7 * 3 * 2 * 2});
 }
 
 TEST(Evaluator, NestedPointAndLayerParallelismMatchesFullySerial) {

@@ -232,6 +232,31 @@ TEST(SweepSession, SmokeSweepMatchesHandAssembledOrchestration) {
             pareto_front(out.results, cfg.objectives).size());
 }
 
+TEST(SweepSession, GlobalFrontIsTheFrontOfTheWorkloadFronts) {
+  // extract_front counts the cross-workload front over the per-workload
+  // fronts only; that must equal the front of the whole basis for every
+  // objective subset and filter.
+  Evaluator eval;
+  const std::vector<EvalResult> rows =
+      eval.evaluate_space(ConfigSpace::paper_default());
+  for (const char* objectives :
+       {"energy,area,error,latency", "energy,latency", "area,error",
+        "energy,latency,pe_utilization",
+        "energy,area,error,latency,pe_utilization,dram_bw_headroom,"
+        "throughput_per_area"}) {
+    for (const char* where : {"", "area<=1.5e6", "latency<=0.02"}) {
+      SweepConfig cfg;
+      cfg.objectives = ObjectiveSet::parse(objectives);
+      const std::vector<Constraint> cs = parse_constraints(where);
+      size_t global = 0;
+      extract_front(cfg, cs, rows, &global);
+      EXPECT_EQ(global,
+                pareto_front(filter_results(rows, cs), cfg.objectives).size())
+          << objectives << " where " << where;
+    }
+  }
+}
+
 TEST(SweepSession, WhereFilterShrinksTheFrontBasis) {
   SweepConfig cfg;
   cfg.space = "smoke";

@@ -2,7 +2,8 @@
 // threads are joined while the server runs (sequential connection churn
 // leaves the process's virtual memory flat), an oversized request line is
 // answered with an error and its connection closed, without affecting
-// later connections, and a server out of file descriptors waits for one
+// later connections, a connection that stays silent is closed after the
+// idle timeout, and a server out of file descriptors waits for one
 // instead of spinning.
 #include "serve/server.hpp"
 
@@ -99,11 +100,17 @@ class LineClient {
 };
 
 /// serve_tcp on an ephemeral port in a background thread, shut down (and
-/// required to exit 0) on destruction.
+/// required to exit 0) on destruction. The port file is named after the
+/// process: ctest runs tests as concurrent processes, and a shared file
+/// would hand one test another test's port.
 class TestServer {
  public:
-  TestServer() : dispatcher_(store_) {
-    opts_.port_file = ::testing::TempDir() + "apsq_server_test_port.txt";
+  explicit TestServer(
+      std::chrono::milliseconds idle_timeout = ServeOptions{}.idle_timeout)
+      : dispatcher_(store_) {
+    opts_.port_file = ::testing::TempDir() + "apsq_server_test_port_" +
+                      std::to_string(::getpid()) + ".txt";
+    opts_.idle_timeout = idle_timeout;
     std::remove(opts_.port_file.c_str());
     thread_ = std::thread([this] { rc_ = serve_tcp(dispatcher_, opts_); });
     const auto deadline =
@@ -194,6 +201,26 @@ TEST(Server, OversizedRequestLineIsRejectedAndTheServerKeepsServing) {
     EXPECT_NE(c.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
               std::string::npos);
   }
+  LineClient fresh(server.port());
+  EXPECT_NE(fresh.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
+            std::string::npos);
+}
+
+TEST(Server, SilentConnectionIsClosedAfterTheIdleTimeout) {
+  // A client that connects and sends nothing would otherwise hold its
+  // connection thread forever.
+  const auto idle = std::chrono::milliseconds(200);
+  TestServer server(idle);
+  ASSERT_NE(server.port(), 0);
+  {
+    LineClient silent(server.port());
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(silent.read_line(), "");  // the server closed it
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_GE(waited, idle / 2);
+    EXPECT_LT(waited, std::chrono::seconds(30));
+  }
+  // The server keeps serving.
   LineClient fresh(server.port());
   EXPECT_NE(fresh.roundtrip("{\"cmd\": \"ping\"}").find("\"ok\": true"),
             std::string::npos);
