@@ -88,60 +88,97 @@ ProxyBatch::ProxyBatch(const Workload& w, std::vector<ProxyQuery> queries,
 void ProxyBatch::score_layer(size_t l) {
   APSQ_CHECK(l < layers_.size());
   const LayerShape& layer = *layers_[l];
-  index_t max_np = 0;
-  for (const ProxyQuery& q : queries_)
-    max_np = std::max(max_np, tile_count(layer, q));
+  std::vector<index_t> np(queries_.size());
+  std::vector<index_t> counts;  // the distinct tile counts, ascending
+  for (size_t qi = 0; qi < queries_.size(); ++qi) {
+    np[qi] = tile_count(layer, queries_[qi]);
+    if (np[qi] > 0) counts.push_back(np[qi]);
+  }
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  if (counts.empty()) return;
+  const auto row_of = [](const std::vector<index_t>& c, index_t n) {
+    return static_cast<size_t>(std::lower_bound(c.begin(), c.end(), n) -
+                               c.begin());
+  };
 
   // The tile stream depends only on (seed, workload, layer) — every PSUM
   // config is scored against identical inputs, a prefix of this one.
   constexpr index_t kTileElems = kTileRows * kTileCols;
+  constexpr size_t kRow = static_cast<size_t>(kTileElems);
   Rng rng = Rng::stream(seed_, fnv1a(w_.name + "/" + layer.name) ^
                                    static_cast<u64>(layer.ci));
-  std::vector<float> stream(static_cast<size_t>(max_np * kTileElems));
+  std::vector<float> stream(static_cast<size_t>(counts.back() * kTileElems));
   for (float& v : stream) v = static_cast<float>(rng.normal(0.0, 8.0));
 
-  // Exact accumulation of each distinct prefix the batch reads.
-  std::vector<std::pair<index_t, std::vector<float>>> exact_by_np;
-  const auto exact_for = [&](index_t np) -> const std::vector<float>& {
-    for (const auto& [n, exact] : exact_by_np)
-      if (n == np) return exact;
-    std::vector<float> exact(static_cast<size_t>(kTileElems));
-    accumulate_psums(stream.data(), np, kTileElems, PsumMode::kExact,
-                     QuantSpec::int8(), {1.0}, 1, exact.data());
-    exact_by_np.emplace_back(np, std::move(exact));
-    return exact_by_np.back().second;
+  // Exact accumulation of every distinct prefix the batch reads, in one
+  // pass: row k holds the first counts[k] tiles.
+  std::vector<float> exact(counts.size() * kRow);
+  accumulate_psums(stream.data(), counts, kTileElems, PsumMode::kExact,
+                   QuantSpec::int8(), {1.0}, 1, exact.data());
+
+  // Queries that run the same arithmetic on the stream — equal (mode,
+  // bits, group size, α) — share one pass up to their largest tile count
+  // and each reads its own prefix's row. PSQ ignores the group size.
+  struct Pass {
+    PsumMode mode;
+    int bits;
+    index_t group_size;
+    double alpha;
+    std::vector<size_t> queries;
   };
-
-  std::vector<float> approx(static_cast<size_t>(kTileElems));
-  std::vector<double> scale(1);
+  std::vector<Pass> passes;
   for (size_t qi = 0; qi < queries_.size(); ++qi) {
-    const ProxyQuery& q = queries_[qi];
-    const index_t np = tile_count(layer, q);
-    if (np == 0) continue;
-    const std::vector<float>& exact = exact_for(np);
-
+    if (np[qi] == 0) continue;
+    const PsumConfig& psum = queries_[qi].psum;
+    const float* x = exact.data() + row_of(counts, np[qi]) * kRow;
     // Power-of-two scale calibrated on the final accumulated range,
     // exactly as QuantDense does for the QAT path (see quant_dense.cpp).
-    const QuantSpec spec{q.psum.psum_bits, true};
+    const QuantSpec spec{psum.psum_bits, true};
     double max_out = 0.0;
-    for (const float x : exact)
-      max_out = std::max(max_out, std::fabs(static_cast<double>(x)));
+    for (size_t e = 0; e < kRow; ++e)
+      max_out = std::max(max_out, std::fabs(static_cast<double>(x[e])));
     PsumScaleCalibrator calib(spec, 0.0);
     calib.observe_abs_max(max_out);
-    scale[0] = std::exp2(calib.exponent());
+    const double alpha = std::exp2(calib.exponent());
 
-    const PsumMode mode = q.psum.apsq ? PsumMode::kApsq : PsumMode::kPsq;
-    accumulate_psums(stream.data(), np, kTileElems, mode, spec, scale,
-                     q.psum.group_size, approx.data());
-
-    double num = 0.0, den = 0.0;
-    for (index_t e = 0; e < kTileElems; ++e) {
-      const double x = static_cast<double>(exact[static_cast<size_t>(e)]);
-      const double d = static_cast<double>(approx[static_cast<size_t>(e)]) - x;
-      num += d * d;
-      den += x * x;
+    const PsumMode mode = psum.apsq ? PsumMode::kApsq : PsumMode::kPsq;
+    const index_t gs = psum.apsq ? psum.group_size : 1;
+    auto pass = std::find_if(passes.begin(), passes.end(), [&](const Pass& p) {
+      return p.mode == mode && p.bits == psum.psum_bits &&
+             p.group_size == gs && p.alpha == alpha;
+    });
+    if (pass == passes.end()) {
+      passes.push_back(Pass{mode, psum.psum_bits, gs, alpha, {}});
+      pass = passes.end() - 1;
     }
-    mse_[l][qi] = den > 0.0 ? num / den : 0.0;
+    pass->queries.push_back(qi);
+  }
+
+  std::vector<index_t> pass_counts;
+  std::vector<float> approx;
+  for (const Pass& pass : passes) {
+    pass_counts.clear();
+    for (const size_t qi : pass.queries) pass_counts.push_back(np[qi]);
+    std::sort(pass_counts.begin(), pass_counts.end());
+    pass_counts.erase(std::unique(pass_counts.begin(), pass_counts.end()),
+                      pass_counts.end());
+    approx.resize(pass_counts.size() * kRow);
+    accumulate_psums(stream.data(), pass_counts, kTileElems, pass.mode,
+                     QuantSpec{pass.bits, true}, {pass.alpha}, pass.group_size,
+                     approx.data());
+    for (const size_t qi : pass.queries) {
+      const float* x = exact.data() + row_of(counts, np[qi]) * kRow;
+      const float* a = approx.data() + row_of(pass_counts, np[qi]) * kRow;
+      double num = 0.0, den = 0.0;
+      for (size_t e = 0; e < kRow; ++e) {
+        const double xe = static_cast<double>(x[e]);
+        const double d = static_cast<double>(a[e]) - xe;
+        num += d * d;
+        den += xe * xe;
+      }
+      mse_[l][qi] = den > 0.0 ? num / den : 0.0;
+    }
   }
 }
 

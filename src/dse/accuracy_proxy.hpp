@@ -13,7 +13,12 @@
 // (seed, workload, layer), and a query with tile count np reads the first
 // np tiles of it, so a batch draws each representative layer's stream
 // once, up to the largest np among its queries, and scores every query on
-// its prefix. Batch contract:
+// its prefix in shared passes: one exact pass yields the reference sum of
+// every distinct np, and the queries that run the same arithmetic —
+// equal (mode, PSUM bits, group size, α), α calibrated on the query's
+// exact sum — share one pass up to their largest np, each reading the
+// output at its own np (accumulate_psums with a list of tile counts).
+// Batch contract:
 //   - a query's result depends only on (workload, psum, pci, seed), never
 //     on what else is in the batch, its order, or duplicates — equal bit
 //     for bit to a batch of one (psum_error_proxy);

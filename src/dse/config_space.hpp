@@ -98,7 +98,7 @@ class ConfigSpace {
   /// The enumeration axes in decode order: workload slowest, then
   /// dataflow, psum, geometry, buffers, then any fine axes — the last
   /// axis varies fastest, so neighbouring indices share workload and
-  /// accuracy sub-keys and the memo caches warm quickly. size() and at()
+  /// accuracy sub-keys and the accuracy table warms quickly. size() and at()
   /// read this same list.
   AxisList axes() const;
 

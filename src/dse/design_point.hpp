@@ -41,7 +41,7 @@ std::string canonical_key(const DesignPoint& p);
 /// canonical_key encodes, the workload as a process-wide interned id
 /// (assigned in first-seen order, so an identity only: never an ordering,
 /// never persisted). Two points have equal PointKeys iff they have equal
-/// canonical keys. A key holds no heap memory, so the memo tables, the
+/// canonical keys. A key holds no heap memory, so the accuracy table, the
 /// Pareto dedupe and the search front compare points without formatting
 /// strings. Its field order is not canonical_key's string order (pb=16
 /// sorts before pb=8 there): sort output by canonical_key.

@@ -146,6 +146,8 @@ Objectives Evaluator::score(const DesignPoint& p, const PointKey& key) {
   for (const LayerShape& layer : workload(p.workload).layers) {
     const LayerTraffic t = layer_traffic(p.dataflow, layer, p.acc, p.psum);
     const EnergyBreakdown e = layer_energy(layer, t, opt_.costs);
+    // Repeated adds, not one multiply, to stay bit-identical to
+    // workload_energy.
     for (index_t i = 0; i < layer.repeat; ++i) energy += e;
     accumulate_layer_performance(
         perf, layer_performance(layer, p.acc, t, opt_.perf), layer.repeat,
@@ -171,18 +173,19 @@ Objectives Evaluator::score(const DesignPoint& p, const PointKey& key) {
 }
 
 EvalResult Evaluator::evaluate_point(const DesignPoint& p, EvalBackend) {
-  const PointKey key = PointKey::of(p);
-  return {p, score_tt_.lookup_or_compute(key, [&] { return score(p, key); })};
+  scored_.fetch_add(1, std::memory_order_relaxed);
+  return {p, score(p, PointKey::of(p))};
 }
 
 std::vector<EvalResult> Evaluator::evaluate_points_at(
-    const std::vector<DesignPoint>& pts, EvalBackend fidelity) {
-  fill_accuracy(static_cast<index_t>(pts.size()),
-                [&](index_t i) { return pts[static_cast<size_t>(i)]; });
+    const std::vector<DesignPoint>& pts, EvalBackend) {
+  const index_t n = static_cast<index_t>(pts.size());
+  fill_accuracy(n, [&](index_t i) { return pts[static_cast<size_t>(i)]; });
+  scored_.fetch_add(n, std::memory_order_relaxed);
   std::vector<EvalResult> out(pts.size());
-  parallel_for_points(static_cast<index_t>(pts.size()), [&](index_t i) {
-    out[static_cast<size_t>(i)] =
-        evaluate_point(pts[static_cast<size_t>(i)], fidelity);
+  parallel_for_points(n, [&](index_t i) {
+    const DesignPoint& p = pts[static_cast<size_t>(i)];
+    out[static_cast<size_t>(i)] = {p, score(p, PointKey::of(p))};
   });
   return out;
 }
@@ -199,9 +202,12 @@ EvalResult Evaluator::evaluate(const DesignPoint& p) {
 std::vector<EvalResult> Evaluator::evaluate_space(const ConfigSpace& space) {
   space.validate();
   fill_accuracy(space.size(), [&](index_t i) { return space.at(i); });
+  scored_.fetch_add(space.size(), std::memory_order_relaxed);
   std::vector<EvalResult> out(static_cast<size_t>(space.size()));
   parallel_for_points(space.size(), [&](index_t i) {
-    out[static_cast<size_t>(i)] = evaluate(space.at(i));
+    EvalResult& r = out[static_cast<size_t>(i)];
+    r.point = space.at(i);
+    r.obj = score(r.point, PointKey::of(r.point));
   });
   return out;
 }
@@ -218,6 +224,10 @@ void Evaluator::parallel_for_points(
 CacheStats Evaluator::accuracy_cache_stats() const {
   return accuracy_tt_.stats();
 }
-CacheStats Evaluator::score_tt_stats() const { return score_tt_.stats(); }
+CacheStats Evaluator::score_tt_stats() const {
+  CacheStats s;
+  s.misses = scored_.load(std::memory_order_relaxed);
+  return s;
+}
 
 }  // namespace apsq::dse

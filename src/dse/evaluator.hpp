@@ -1,4 +1,4 @@
-// Parallel, memoizing design-point scorer.
+// Parallel design-point scorer.
 //
 // Each point is scored on the full objective vector: the core minimize
 // quartet — workload energy, synthesis area ±RAE (src/rae), the PSUM
@@ -17,28 +17,29 @@
 // (tests/sim/counts_vs_analytical_test.cpp for traffic,
 // tests/sim/sim_vs_analytic_test.cpp for energy, cycles and latency).
 //
-// Every memo is keyed by the point's PointKey (design_point.hpp), a
-// fixed-size struct exact for any DesignPoint — from any space or from a
-// daemon request — so no string is formatted on the scoring path. The
-// accuracy proxy is memoized under a sub-key projected from it (the
-// fields it ignores zeroed): it reads only (workload, psum, pci), so a
-// cartesian sweep reuses the overwhelming majority of it. Area depends
-// only on the accelerator geometry, buffers, precisions and whether an
-// RAE exists, and is cheap enough to compute afresh per point
-// (accelerator_area_um2 builds no report). Energy and latency depend on
-// every field of the point, so they are computed afresh on each
-// score_tt_ miss; score_tt_ stores a point's Objectives only, and a
-// repeated point is answered by evaluate_point from it, paired with the
-// caller's point. The accuracy keys a batch (evaluate_space /
-// evaluate_points / evaluate_points_at) lacks are scored up front as one
-// proxy batch per workload (accuracy_proxy.hpp); the point loop then only
-// reads the table. All scoring functions are pure, every worker derives
+// The one memo is the accuracy table, keyed by a projection of the
+// point's PointKey (design_point.hpp: a fixed-size struct exact for any
+// DesignPoint, from any space or a daemon request, so no string is
+// formatted on the scoring path) with the fields the proxy ignores
+// zeroed: it reads only (workload, psum, pci), so a cartesian sweep
+// reuses the overwhelming majority of it. Area depends only on the
+// accelerator geometry, buffers, precisions and whether an RAE exists,
+// and is cheap enough to compute afresh per point (accelerator_area_um2
+// builds no report). Energy and latency depend on every field of the
+// point and are computed afresh on every call: no point-score memo is
+// kept, because the search never rescores a point, a sweep scores each
+// point once and every daemon query builds a fresh Evaluator. The
+// accuracy keys a batch (evaluate_space / evaluate_points /
+// evaluate_points_at) lacks are scored up front as one proxy batch per
+// workload (accuracy_proxy.hpp); the point loop then only reads the
+// table. All scoring functions are pure, every worker derives
 // its randomness per work item via Rng::stream, and results land in
 // index-addressed slots, so a parallel sweep is byte-identical to a
 // serial one. Parallel evaluation runs on the process-wide
 // WorkStealingPool::shared().
 #pragma once
 
+#include <atomic>
 #include <functional>
 #include <string>
 #include <vector>
@@ -85,14 +86,12 @@ class Evaluator {
  public:
   explicit Evaluator(EvaluatorOptions opt = EvaluatorOptions{});
 
-  /// Score one point (memoized, thread-safe).
+  /// Score one point (thread-safe).
   EvalResult evaluate(const DesignPoint& p);
 
-  /// The point-at-a-time scoring oracle: score one point, its objectives
-  /// memoized in the shared transposition table under the point's
-  /// PointKey, and return them with `p`. Thread-safe and pure, so
-  /// parallel search workers hitting overlapping points pay each score
-  /// once.
+  /// The point-at-a-time scoring oracle: score one point and return its
+  /// objectives with `p`. Thread-safe and pure; every call scores afresh
+  /// (only the accuracy proxy is memoized).
   EvalResult evaluate_point(const DesignPoint& p, EvalBackend fidelity);
 
   /// Batch flavour of evaluate_point: results in index-addressed slots
@@ -113,7 +112,9 @@ class Evaluator {
   std::vector<EvalResult> evaluate_points(const std::vector<DesignPoint>& pts);
 
   CacheStats accuracy_cache_stats() const;
-  /// Point-score oracle table (evaluate_point) counters.
+  /// Points scored, as misses (hits and races stay 0): n per batch, 1 per
+  /// evaluate_point. Kept in the shape of a cache's counters for the
+  /// `score_tt_*` stats rows.
   CacheStats score_tt_stats() const;
 
   /// Bundled-workload registry ("bert", "llama2", "segformer",
@@ -130,17 +131,15 @@ class Evaluator {
   /// only reads the table.
   void fill_accuracy(index_t n,
                      const std::function<DesignPoint(index_t)>& point_at);
-  /// Score one point from scratch (the score_tt_ miss path).
+  /// Score one point from scratch.
   Objectives score(const DesignPoint& p, const PointKey& key);
   /// Index loop over points: inline when threads == 1, on the shared pool
   /// otherwise.
   void parallel_for_points(index_t n, const std::function<void(index_t)>& fn);
 
   EvaluatorOptions opt_;
-  // Every memo is one sharded TranspositionTable (dse/tt.hpp): the
-  // accuracy sub-table plus the point-score oracle table.
   TranspositionTable<PointKey, double> accuracy_tt_;
-  TranspositionTable<PointKey, Objectives> score_tt_;
+  std::atomic<i64> scored_{0};  ///< points scored (score_tt_stats)
 };
 
 }  // namespace apsq::dse

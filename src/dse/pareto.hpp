@@ -56,8 +56,8 @@ bool is_dominated(const EvalResult& candidate,
 /// finite values, so after any sequence of merges the members are exactly
 /// the front of every candidate ever merged — without revisiting the
 /// dominated ones — provided a repeated point always carries the same
-/// objectives, as memoized scores do. Members carry a caller-chosen tag (SearchDriver: the
-/// index that first scored the point). Membership is by point identity:
+/// objectives, as pure scoring guarantees. Members carry a caller-chosen
+/// tag (SearchDriver: the index that first scored the point). Membership is by point identity:
 /// a candidate whose PointKey equals a member's, or an earlier
 /// candidate's, is dropped, so the first one seen keeps its tag.
 class IncrementalFront {

@@ -2,14 +2,14 @@
 // exhaustive sweep once fine-grained axes push the space past what
 // enumerate-and-score can touch (ConfigSpace::fine_default() is ~6×10⁷
 // points). One strategy, `evolve`, driving the Evaluator's
-// point-at-a-time oracle (evaluate_point / evaluate_points_at, memoized in
-// the shared transposition table so successive rounds never pay a score
-// twice): a stratified seed batch, then rounds of ±1-step neighbours of
-// the current per-workload front plus random injections, batch-scored
-// until the budget is spent, the front is stable, or no unseen candidate
-// remains. The front is kept live: each scored batch is merged into one
-// IncrementalFront per workload (pareto.hpp), so a round costs the
-// front plus the batch, not the whole archive.
+// point-at-a-time oracle (evaluate_point / evaluate_points_at; the archive
+// keeps every scored point and only unseen candidates are scored, so no
+// point is paid for twice): a stratified seed batch, then rounds of ±1-step
+// neighbours of the current per-workload front plus random injections,
+// batch-scored until the budget is spent, the front is stable, or no
+// unseen candidate remains. The front is kept live: each scored batch is
+// merged into one IncrementalFront per workload (pareto.hpp), so a round
+// costs the front plus the batch, not the whole archive.
 //
 // The search is deterministic given (seed, budget): candidate selection
 // is single-threaded and pure, randomness comes from

@@ -288,7 +288,7 @@ SweepOutcome SweepSession::run() {
     if (entry != nullptr) {
       // Top the snapshot up: its rows answer, and the misses are scored
       // in one evaluate_points batch, so they share the process-wide pool
-      // (and each other's memo-cache warmth).
+      // and one accuracy-proxy batch.
       out.results.resize(static_cast<size_t>(space_.size()));
       std::vector<index_t> misses;
       for (index_t i = 0; i < space_.size(); ++i) {

@@ -1,14 +1,13 @@
-// Sharded, thread-safe transposition table: the one memoization mechanism
-// behind every Evaluator sub-cache and the point-score oracle parallel
-// searchers share. The key type is a parameter; the Evaluator keys its
-// tables by PointKey (dse/design_point.hpp) and sub-keys projected from
-// it, so a lookup hashes a fixed-size struct instead of formatting a
-// string. Values are computed at most once per shard winner: lookup
-// checks under the shard lock, computes outside it, and the first
-// inserter wins — a loser's identical value is discarded and counted as a
-// `race`, so results are schedule-independent and only the counters
-// vary. Sharding by key hash keeps 8–16 parallel
-// searchers from serializing on one mutex.
+// Sharded, thread-safe transposition table: the memo behind the
+// Evaluator's accuracy table, the one sub-result it caches. The key type
+// is a parameter; the Evaluator keys it by a sub-key projected from the
+// point's PointKey (dse/design_point.hpp), so a lookup hashes a
+// fixed-size struct instead of formatting a string. Values are computed
+// at most once per shard winner: lookup checks under the shard lock,
+// computes outside it, and the first inserter wins — a loser's identical
+// value is discarded and counted as a `race`, so results are
+// schedule-independent and only the counters vary. Sharding by key hash
+// keeps 8–16 parallel workers from serializing on one mutex.
 #pragma once
 
 #include <functional>

@@ -2,17 +2,6 @@
 
 namespace apsq {
 
-EnergyBreakdown& EnergyBreakdown::operator+=(const EnergyBreakdown& other) {
-  ifmap_pj += other.ifmap_pj;
-  weight_pj += other.weight_pj;
-  psum_pj += other.psum_pj;
-  ofmap_pj += other.ofmap_pj;
-  mac_pj += other.mac_pj;
-  sram_pj += other.sram_pj;
-  dram_pj += other.dram_pj;
-  return *this;
-}
-
 EnergyBreakdown layer_energy(const LayerShape& layer, const LayerTraffic& t,
                              const EnergyCosts& costs) {
   EnergyBreakdown e;

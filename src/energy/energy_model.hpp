@@ -31,7 +31,16 @@ struct EnergyBreakdown {
     return t > 0.0 ? psum_pj / t : 0.0;
   }
 
-  EnergyBreakdown& operator+=(const EnergyBreakdown& other);
+  EnergyBreakdown& operator+=(const EnergyBreakdown& other) {
+    ifmap_pj += other.ifmap_pj;
+    weight_pj += other.weight_pj;
+    psum_pj += other.psum_pj;
+    ofmap_pj += other.ofmap_pj;
+    mac_pj += other.mac_pj;
+    sram_pj += other.sram_pj;
+    dram_pj += other.dram_pj;
+    return *this;
+  }
 };
 
 /// Energy of one layer instance: its traffic priced per byte at each

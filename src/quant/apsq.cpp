@@ -112,11 +112,15 @@ TensorF PsqAccumulator::output() const {
   return out;
 }
 
-void accumulate_psums(const float* tiles, index_t num_tiles, index_t tile_numel,
-                      PsumMode mode, const QuantSpec& spec,
+void accumulate_psums(const float* tiles, const std::vector<index_t>& counts,
+                      index_t tile_numel, PsumMode mode, const QuantSpec& spec,
                       const std::vector<double>& scales, index_t group_size,
                       float* out) {
-  APSQ_CHECK(num_tiles > 0 && tile_numel >= 0);
+  APSQ_CHECK(!counts.empty() && counts.front() > 0 && tile_numel >= 0);
+  for (size_t k = 1; k < counts.size(); ++k)
+    APSQ_CHECK_MSG(counts[k - 1] < counts[k],
+                   "tile counts must be strictly ascending");
+  const index_t num_tiles = counts.back();
   const size_t n = static_cast<size_t>(tile_numel);
   // The exact sum, the PSQ sum of dequantized tiles, or (APSQ) the
   // dequantized sum of the live group's stored tiles — in each case the
@@ -124,51 +128,80 @@ void accumulate_psums(const float* tiles, index_t num_tiles, index_t tile_numel,
   std::vector<double> acc_row(n, 0.0);
   double* acc = acc_row.data();
   const auto tile = [&](index_t i) { return tiles + static_cast<size_t>(i) * n; };
+  // Row k of `out` is the prefix of counts[k] tiles; `next` is the first
+  // count not yet written.
+  size_t next = 0;
+  const auto emit = [&] {
+    float* o = out + next * n;
+    for (size_t e = 0; e < n; ++e) o[e] = static_cast<float>(acc[e]);
+    ++next;
+  };
 
   if (mode == PsumMode::kExact) {
     for (index_t i = 0; i < num_tiles; ++i) {
       const float* tp = tile(i);
       for (size_t e = 0; e < n; ++e) acc[e] += static_cast<double>(tp[e]);
+      if (i + 1 == counts[next]) emit();
     }
-  } else {
-    check_scale_count(scales, num_tiles);
-    APSQ_CHECK_MSG(spec.qmax() <= std::numeric_limits<i32>::max(),
-                   "PSUM grid must fit int32 codes");
-    const double qmin = static_cast<double>(spec.qmin());
-    const double qmax = static_cast<double>(spec.qmax());
-    const auto scale = [&](index_t i) {
-      return scales.size() == 1 ? scales[0] : scales[static_cast<size_t>(i)];
-    };
-    if (mode == PsumMode::kPsq) {
-      for (index_t i = 0; i < num_tiles; ++i) {
-        const double alpha = scale(i);
-        const float* tp = tile(i);
-        for (size_t e = 0; e < n; ++e)
-          acc[e] += alpha * static_cast<double>(clamped_code(
-                                static_cast<double>(tp[e]), alpha, qmin, qmax));
-      }
-    } else {
-      APSQ_CHECK_MSG(group_size >= 1, "group size gs must be >= 1");
-      for (index_t i = 0; i < num_tiles; ++i) {
-        const double alpha = scale(i);
-        const float* tp = tile(i);
-        if (i % group_size == 0 || i == num_tiles - 1) {
-          // Leader or final tile: fold the live group into the quantizer
-          // input; the new code is the group's only live tile.
-          for (size_t e = 0; e < n; ++e)
-            acc[e] = alpha * static_cast<double>(clamped_code(
-                                 acc[e] + static_cast<double>(tp[e]), alpha,
-                                 qmin, qmax));
-        } else {
-          // Plain PSUM quantization; the stored tile joins the live group.
-          for (size_t e = 0; e < n; ++e)
-            acc[e] += alpha * static_cast<double>(clamped_code(
-                                  static_cast<double>(tp[e]), alpha, qmin, qmax));
-        }
-      }
-    }
+    return;
   }
-  for (size_t e = 0; e < n; ++e) out[e] = static_cast<float>(acc[e]);
+  check_scale_count(scales, num_tiles);
+  APSQ_CHECK_MSG(spec.qmax() <= std::numeric_limits<i32>::max(),
+                 "PSUM grid must fit int32 codes");
+  const double qmin = static_cast<double>(spec.qmin());
+  const double qmax = static_cast<double>(spec.qmax());
+  const auto scale = [&](index_t i) {
+    return scales.size() == 1 ? scales[0] : scales[static_cast<size_t>(i)];
+  };
+  if (mode == PsumMode::kPsq) {
+    for (index_t i = 0; i < num_tiles; ++i) {
+      const double alpha = scale(i);
+      const float* tp = tile(i);
+      for (size_t e = 0; e < n; ++e)
+        acc[e] += alpha * static_cast<double>(clamped_code(
+                              static_cast<double>(tp[e]), alpha, qmin, qmax));
+      if (i + 1 == counts[next]) emit();
+    }
+    return;
+  }
+  APSQ_CHECK_MSG(group_size >= 1, "group size gs must be >= 1");
+  for (index_t i = 0; i < num_tiles; ++i) {
+    const double alpha = scale(i);
+    const float* tp = tile(i);
+    const bool ends_prefix = i + 1 == counts[next];
+    if (i % group_size == 0 || i == num_tiles - 1) {
+      // Leader or final tile: fold the live group into the quantizer
+      // input; the new code is the group's only live tile.
+      for (size_t e = 0; e < n; ++e)
+        acc[e] = alpha * static_cast<double>(clamped_code(
+                             acc[e] + static_cast<double>(tp[e]), alpha, qmin,
+                             qmax));
+      if (ends_prefix) emit();
+      continue;
+    }
+    if (ends_prefix) {
+      // A shorter prefix ends off a leader: its final tile folds the live
+      // group, so write that fold to its row and leave `acc` to the run.
+      float* o = out + next * n;
+      for (size_t e = 0; e < n; ++e)
+        o[e] = static_cast<float>(
+            alpha * static_cast<double>(clamped_code(
+                        acc[e] + static_cast<double>(tp[e]), alpha, qmin, qmax)));
+      ++next;
+    }
+    // Plain PSUM quantization; the stored tile joins the live group.
+    for (size_t e = 0; e < n; ++e)
+      acc[e] += alpha * static_cast<double>(clamped_code(
+                            static_cast<double>(tp[e]), alpha, qmin, qmax));
+  }
+}
+
+void accumulate_psums(const float* tiles, index_t num_tiles, index_t tile_numel,
+                      PsumMode mode, const QuantSpec& spec,
+                      const std::vector<double>& scales, index_t group_size,
+                      float* out) {
+  accumulate_psums(tiles, std::vector<index_t>{num_tiles}, tile_numel, mode,
+                   spec, scales, group_size, out);
 }
 
 TensorF accumulate_psums(const std::vector<TensorF>& tiles, PsumMode mode,

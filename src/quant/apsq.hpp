@@ -92,6 +92,20 @@ void accumulate_psums(const float* tiles, index_t num_tiles, index_t tile_numel,
                       const std::vector<double>& scales, index_t group_size,
                       float* out);
 
+/// The same for several prefixes of one block in one pass: `counts` is a
+/// strictly ascending list of tile counts, and row k of `out`
+/// (out[k·tile_numel, (k+1)·tile_numel)) receives To of the first
+/// counts[k] tiles, bit-equal to a separate call with num_tiles =
+/// counts[k] (and, for per-tile scales, the first counts[k] of them).
+/// `scales` holds one α per tile of the longest prefix or a broadcast α.
+/// For kApsq, a prefix whose last tile is not a group leader ends on a
+/// fold of the live group; that fold is written to its row only, and the
+/// longer run goes on with the tile as a plain group member.
+void accumulate_psums(const float* tiles, const std::vector<index_t>& counts,
+                      index_t tile_numel, PsumMode mode, const QuantSpec& spec,
+                      const std::vector<double>& scales, index_t group_size,
+                      float* out);
+
 /// The same over a list of equal-shape tiles, returning To.
 TensorF accumulate_psums(const std::vector<TensorF>& tiles, PsumMode mode,
                          const QuantSpec& spec, const std::vector<double>& scales,

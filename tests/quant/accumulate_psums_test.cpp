@@ -176,6 +176,49 @@ TEST(AccumulatePsums, FlatBlockEqualsTileList) {
                    "flat block");
 }
 
+TEST(AccumulatePsums, TileCountListEqualsOneCallPerCount) {
+  // One pass over a list of prefixes writes, per count, the row a
+  // separate single-count call writes. With gs 2, 3 and 5 the list has
+  // counts ending on a group leader (tile index a multiple of gs) and off
+  // one, where the prefix's final fold must not disturb the longer run;
+  // gs 16 never leads after tile 0; the last count is the final tile.
+  const index_t np = 11;
+  const auto tiles = tiles_for(np, 89);
+  std::vector<float> block;
+  for (const TensorF& t : tiles)
+    block.insert(block.end(), t.storage().begin(), t.storage().end());
+  const index_t numel = tiles.front().numel();
+  const size_t row = static_cast<size_t>(numel);
+  const std::vector<std::vector<index_t>> count_lists = {
+      {1}, {np}, {1, np}, {2, 5, np}, {1, 3, 4, 6, 7, 9, 10, np}};
+  for (const PsumMode mode : {PsumMode::kExact, PsumMode::kPsq, PsumMode::kApsq})
+    for (const QuantSpec spec : {QuantSpec::int4(), QuantSpec::int8()})
+      for (const index_t gs : {1, 2, 3, 5, 16})
+        for (const std::vector<double>& scales : scale_sets(np))
+          for (const std::vector<index_t>& counts : count_lists) {
+            // A per-tile schedule covers exactly the tiles a call reads.
+            const auto scales_for = [&](index_t n) {
+              return scales.size() == 1
+                         ? scales
+                         : std::vector<double>(scales.begin(),
+                                               scales.begin() + n);
+            };
+            std::vector<float> rows(counts.size() * row);
+            accumulate_psums(block.data(), counts, numel, mode, spec,
+                             scales_for(counts.back()), gs, rows.data());
+            for (size_t k = 0; k < counts.size(); ++k) {
+              std::vector<float> one(row);
+              accumulate_psums(block.data(), counts[k], numel, mode, spec,
+                               scales_for(counts[k]), gs, one.data());
+              for (size_t e = 0; e < row; ++e)
+                EXPECT_EQ(rows[k * row + e], one[e])
+                    << to_string(mode) << " bits=" << spec.bits
+                    << " gs=" << gs << " scales=" << scales.size()
+                    << " count=" << counts[k] << " element " << e;
+            }
+          }
+}
+
 TEST(AccumulatePsums, RejectsBadInputs) {
   const auto tiles = tiles_for(3, 5);
   EXPECT_THROW(accumulate_psums(tiles, PsumMode::kPsq, QuantSpec::int8(), {}),
@@ -189,6 +232,12 @@ TEST(AccumulatePsums, RejectsBadInputs) {
   EXPECT_THROW(
       accumulate_psums(tiles, PsumMode::kApsq, QuantSpec::int8(), {1.0}, 0),
       std::logic_error);
+  std::vector<float> block(3 * 12), out(2 * 12);
+  for (const std::vector<index_t>& counts :
+       std::vector<std::vector<index_t>>{{}, {0, 2}, {2, 1}, {2, 2}})
+    EXPECT_THROW(accumulate_psums(block.data(), counts, 12, PsumMode::kApsq,
+                                  QuantSpec::int8(), {1.0}, 1, out.data()),
+                 std::logic_error);
   std::vector<TensorF> mixed = tiles;
   mixed.push_back(TensorF({2, 2}));
   EXPECT_THROW(accumulate_psums(mixed, PsumMode::kExact, QuantSpec::int8(), {1.0}),
