@@ -68,6 +68,12 @@ index_t tile_count(const LayerShape& layer, const ProxyQuery& q) {
                            std::max<index_t>(1, (layer.ci + q.pci - 1) / q.pci));
 }
 
+/// Sort `counts` ascending and drop repeats: the list accumulate_psums takes.
+void make_distinct(std::vector<index_t>& counts) {
+  std::sort(counts.begin(), counts.end());
+  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+}
+
 }  // namespace
 
 ProxyBatch::ProxyBatch(const Workload& w, std::vector<ProxyQuery> queries,
@@ -94,8 +100,7 @@ void ProxyBatch::score_layer(size_t l) {
     np[qi] = tile_count(layer, queries_[qi]);
     if (np[qi] > 0) counts.push_back(np[qi]);
   }
-  std::sort(counts.begin(), counts.end());
-  counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
+  make_distinct(counts);
   if (counts.empty()) return;
   const auto row_of = [](const std::vector<index_t>& c, index_t n) {
     return static_cast<size_t>(std::lower_bound(c.begin(), c.end(), n) -
@@ -160,9 +165,7 @@ void ProxyBatch::score_layer(size_t l) {
   for (const Pass& pass : passes) {
     pass_counts.clear();
     for (const size_t qi : pass.queries) pass_counts.push_back(np[qi]);
-    std::sort(pass_counts.begin(), pass_counts.end());
-    pass_counts.erase(std::unique(pass_counts.begin(), pass_counts.end()),
-                      pass_counts.end());
+    make_distinct(pass_counts);
     approx.resize(pass_counts.size() * kRow);
     accumulate_psums(stream.data(), pass_counts, kTileElems, pass.mode,
                      QuantSpec{pass.bits, true}, {pass.alpha}, pass.group_size,
