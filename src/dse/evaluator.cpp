@@ -180,14 +180,22 @@ EvalResult Evaluator::evaluate_point(const DesignPoint& p, EvalBackend) {
 std::vector<EvalResult> Evaluator::evaluate_points_at(
     const std::vector<DesignPoint>& pts, EvalBackend) {
   const index_t n = static_cast<index_t>(pts.size());
-  fill_accuracy(n, [&](index_t i) { return pts[static_cast<size_t>(i)]; });
-  scored_.fetch_add(n, std::memory_order_relaxed);
   std::vector<EvalResult> out(pts.size());
-  parallel_for_points(n, [&](index_t i) {
-    const DesignPoint& p = pts[static_cast<size_t>(i)];
-    out[static_cast<size_t>(i)] = {p, score(p, PointKey::of(p))};
+  for (size_t i = 0; i < pts.size(); ++i) out[i].point = pts[i];
+  evaluate_rows(n, [&](index_t i) -> EvalResult& {
+    return out[static_cast<size_t>(i)];
   });
   return out;
+}
+
+void Evaluator::evaluate_rows(
+    index_t n, const std::function<EvalResult&(index_t)>& row) {
+  fill_accuracy(n, [&](index_t i) { return row(i).point; });
+  scored_.fetch_add(n, std::memory_order_relaxed);
+  parallel_for_points(n, [&](index_t i) {
+    EvalResult& r = row(i);
+    r.obj = score(r.point, PointKey::of(r.point));
+  });
 }
 
 std::vector<EvalResult> Evaluator::evaluate_points(

@@ -30,9 +30,9 @@
 // kept, because the search never rescores a point, a sweep scores each
 // point once and every daemon query builds a fresh Evaluator. The
 // accuracy keys a batch (evaluate_space / evaluate_points /
-// evaluate_points_at) lacks are scored up front as one proxy batch per
-// workload (accuracy_proxy.hpp); the point loop then only reads the
-// table. All scoring functions are pure, every worker derives
+// evaluate_points_at / evaluate_rows) lacks are scored up front as one
+// proxy batch per workload (accuracy_proxy.hpp); the point loop then only
+// reads the table. All scoring functions are pure, every worker derives
 // its randomness per work item via Rng::stream, and results land in
 // index-addressed slots, so a parallel sweep is byte-identical to a
 // serial one. Parallel evaluation runs on the process-wide
@@ -99,6 +99,11 @@ class Evaluator {
   /// when threads > 1.
   std::vector<EvalResult> evaluate_points_at(
       const std::vector<DesignPoint>& pts, EvalBackend fidelity);
+
+  /// evaluate_points_at in place: score the rows row(0 … n-1), whose
+  /// `point` fields the caller has set, into their `obj` fields. Same
+  /// guarantees; `row` must be safe to call concurrently.
+  void evaluate_rows(index_t n, const std::function<EvalResult&(index_t)>& row);
 
   /// Per-layer telemetry of one point from the closed-form models, for
   /// dumping a handful of front points (--layer-stats-csv).

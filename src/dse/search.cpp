@@ -1,6 +1,8 @@
 #include "dse/search.hpp"
 
+#include <algorithm>
 #include <chrono>
+#include <deque>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -63,6 +65,14 @@ std::vector<index_t> SearchDriver::stratified_sample(index_t n, index_t count,
 }
 
 std::map<index_t, EvalResult> SearchDriver::run() {
+  SearchRows rows = run_rows();
+  std::map<index_t, EvalResult> out;
+  for (size_t k = 0; k < rows.indices.size(); ++k)
+    out.emplace_hint(out.end(), rows.indices[k], std::move(rows.results[k]));
+  return out;
+}
+
+SearchRows SearchDriver::run_rows() {
   const auto t0 = clock_t_::now();
   stats_ = SearchStats{};
   stats_.budget = opt_.budget;
@@ -85,26 +95,55 @@ std::map<index_t, EvalResult> SearchDriver::run() {
     return i;
   };
 
-  std::map<index_t, EvalResult> archive;
+  // The archive: every scored row, in a deque (small fixed-size blocks
+  // that never move, so a row's address holds while later batches are
+  // appended), and one slot per row, ascending by index, pointing at it.
+  // The output is one vector of budget size, built at the end; keeping
+  // the rows in small blocks until then leaves no second block of that
+  // size whose hole the next search's allocations would have to fit
+  // around, so a run of searches settles on one peak footprint.
+  struct Slot {
+    index_t index;
+    EvalResult* row;
+  };
+  std::deque<EvalResult> scored;
+  std::vector<Slot> archived;
+  archived.reserve(static_cast<size_t>(std::min<i64>(opt_.budget, n)));
+  const auto is_archived = [&](index_t i) {
+    const auto it = std::lower_bound(
+        archived.begin(), archived.end(), i,
+        [](const Slot& s, index_t v) { return s.index < v; });
+    return it != archived.end() && it->index == i;
+  };
   // The live per-workload front of everything archived so far, keyed by
   // workload name. Each member's tag is the index that first scored its
   // point: the index its neighbours are generated from.
   std::map<std::string, IncrementalFront> fronts;
   i64 remaining = opt_.budget;
-  // Score a batch, archive it and merge it into the live front. Returns
-  // true iff the front's membership changed.
+  // Score a batch (ascending, none archived yet), archive it and merge it
+  // into the live front. Returns true iff the front's membership changed.
   const auto score_batch = [&](const std::vector<index_t>& batch) {
-    std::vector<DesignPoint> pts;
-    pts.reserve(batch.size());
-    for (index_t i : batch) pts.push_back(space_.at(i));
-    std::vector<EvalResult> scored =
-        eval_.evaluate_points_at(pts, EvalBackend::kAnalytic);
-    std::map<std::string, std::vector<IncrementalFront::Candidate>> grouped;
-    for (size_t j = 0; j < batch.size(); ++j) {
-      const EvalResult& r =
-          archive.emplace(batch[j], std::move(scored[j])).first->second;
-      grouped[r.point.workload].push_back({batch[j], &r});
+    const size_t first = scored.size();
+    for (const index_t i : batch) scored.push_back({space_.at(i), {}});
+    const auto row = [&](size_t j) -> EvalResult& { return scored[first + j]; };
+    eval_.evaluate_rows(static_cast<index_t>(batch.size()),
+                        [&](index_t j) -> EvalResult& {
+                          return row(static_cast<size_t>(j));
+                        });
+    // Merge the batch's slots in, from the back, in place.
+    size_t a = archived.size(), b = batch.size();
+    archived.resize(a + b);
+    for (size_t k = a + b; b > 0; --k) {
+      if (a > 0 && archived[a - 1].index > batch[b - 1]) {
+        archived[k - 1] = archived[--a];
+      } else {
+        --b;
+        archived[k - 1] = {batch[b], &row(b)};
+      }
     }
+    std::map<std::string, std::vector<IncrementalFront::Candidate>> grouped;
+    for (size_t j = 0; j < batch.size(); ++j)
+      grouped[row(j).point.workload].push_back({batch[j], &row(j)});
     remaining -= static_cast<i64>(batch.size());
     stats_.evaluated += static_cast<index_t>(batch.size());
     bool changed = false;
@@ -167,7 +206,7 @@ std::map<index_t, EvalResult> SearchDriver::run() {
 
     std::vector<index_t> batch;
     for (index_t c : candidates) {
-      if (archive.count(c)) continue;
+      if (is_archived(c)) continue;
       if (static_cast<i64>(batch.size()) >= remaining) break;
       batch.push_back(c);
     }
@@ -184,7 +223,15 @@ std::map<index_t, EvalResult> SearchDriver::run() {
     if (stable >= kStableRounds) break;
   }
   stats_.secs = secs_since(t0);
-  return archive;
+
+  SearchRows out;  // ascending by index: the slots' order
+  out.indices.reserve(archived.size());
+  out.results.reserve(archived.size());
+  for (const Slot& slot : archived) {
+    out.indices.push_back(slot.index);
+    out.results.push_back(std::move(*slot.row));
+  }
+  return out;
 }
 
 }  // namespace apsq::dse

@@ -69,6 +69,13 @@ struct SearchStats {
   double secs = 0.0;
 };
 
+/// The scored rows of a search, ascending by point index: results[k]
+/// scores the point at indices[k].
+struct SearchRows {
+  std::vector<index_t> indices;
+  std::vector<EvalResult> results;
+};
+
 class SearchDriver {
  public:
   /// `space` and `eval` must outlive the driver.
@@ -78,6 +85,9 @@ class SearchDriver {
   /// sparse (nowhere near size() on a large space), byte-identical for a
   /// fixed (seed, budget) at any thread count.
   std::map<index_t, EvalResult> run();
+  /// run(), as two index-aligned vectors: what a session keeps, without
+  /// a node per row.
+  SearchRows run_rows();
 
   const SearchStats& stats() const { return stats_; }
 

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "common/json.hpp"
 #include "common/stats_writer.hpp"
 
@@ -138,7 +139,9 @@ void EvalStore::merge_rows(const std::string& space_hash,
                            const std::string& scoring,
                            const std::string& backend_label,
                            index_t space_points,
-                           const std::map<index_t, EvalResult>& rows) {
+                           const std::vector<index_t>& indices,
+                           const std::vector<EvalResult>& results) {
+  APSQ_CHECK(indices.size() == results.size());
   auto e = std::make_shared<Entry>();
   e->space_hash = space_hash;
   e->scoring = scoring;
@@ -152,7 +155,7 @@ void EvalStore::merge_rows(const std::string& space_hash,
   MutexLock lock(mu_);
   const auto it = entries_.find(entry_key(space_hash, scoring));
   if (it != entries_.end()) e->results = it->second->results;
-  for (const auto& [i, r] : rows) e->results[i] = r;
+  for (size_t k = 0; k < indices.size(); ++k) e->results[indices[k]] = results[k];
   entries_[entry_key(space_hash, scoring)] = std::move(e);
 }
 

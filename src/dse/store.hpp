@@ -108,15 +108,15 @@ class EvalStore {
            const std::vector<EvalResult>& results) APSQ_EXCLUDES(mu_);
 
   /// Record a sparse subset (budgeted search over a space too large to
-  /// materialize densely): union-merge `rows` — point index → result —
-  /// into any existing entry under the key, new rows winning collisions
-  /// (one scoring identity ⇒ identical values, so a collision only
-  /// re-asserts a row). Copy-on-write like put(): readers holding the old
-  /// entry are unaffected.
+  /// materialize densely): union-merge the rows — results[k] scores the
+  /// point at index indices[k] — into any existing entry under the key,
+  /// new rows winning collisions (one scoring identity ⇒ identical
+  /// values, so a collision only re-asserts a row). Copy-on-write like
+  /// put(): readers holding the old entry are unaffected.
   void merge_rows(const std::string& space_hash, const std::string& scoring,
                   const std::string& backend_label, index_t space_points,
-                  const std::map<index_t, EvalResult>& rows)
-      APSQ_EXCLUDES(mu_);
+                  const std::vector<index_t>& indices,
+                  const std::vector<EvalResult>& results) APSQ_EXCLUDES(mu_);
 
   size_t entry_count() const APSQ_EXCLUDES(mu_);
   index_t result_count() const APSQ_EXCLUDES(mu_);

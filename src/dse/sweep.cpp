@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/check.hpp"
 #include "common/cli.hpp"
@@ -275,14 +276,13 @@ SweepOutcome SweepSession::run() {
       out.store_hits = static_cast<index_t>(out.results.size());
     } else {
       SearchDriver driver(space_, *eval_, cfg_.search_options());
-      const std::map<index_t, EvalResult> rows = driver.run();
+      SearchRows rows = driver.run_rows();
       out.search = driver.stats();
-      out.fresh_evaluations = static_cast<index_t>(rows.size());
-      out.results.reserve(rows.size());
-      for (const auto& [i, r] : rows) out.results.push_back(r);
-      if (st != nullptr && !rows.empty())
+      out.fresh_evaluations = static_cast<index_t>(rows.results.size());
+      if (st != nullptr && !rows.results.empty())
         st->merge_rows(hash, scoring, cfg_.scored_by_label(), space_.size(),
-                       rows);
+                       rows.indices, rows.results);
+      out.results = std::move(rows.results);
     }
   } else {
     if (entry != nullptr) {

@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -222,11 +221,14 @@ TEST(Dispatcher, ThrowingColdRunReleasesItsKey) {
   {
     dse::SweepSession session(req.config);
     const dse::SweepOutcome out = session.run();
-    std::map<index_t, dse::EvalResult> rows;
-    for (index_t i = 1; i < 7; ++i) rows[i] = out.results[static_cast<size_t>(i)];
-    rows[0] = out.results[1];
+    std::vector<index_t> indices{0};
+    std::vector<dse::EvalResult> rows{out.results[1]};
+    for (index_t i = 1; i < 7; ++i) {
+      indices.push_back(i);
+      rows.push_back(out.results[static_cast<size_t>(i)]);
+    }
     store.merge_rows(session.space_hash(), req.config.scoring_key(),
-                     req.config.scored_by_label(), 8, rows);
+                     req.config.scored_by_label(), 8, indices, rows);
   }
   Dispatcher d(store);
   for (int attempt = 0; attempt < 2; ++attempt) {
