@@ -114,8 +114,9 @@ void print_help() {
       "  --dump-stats-top K\n"
       "                    front rows dumped by --layer-stats-csv\n"
       "                    (default 5; 0 = every front row)\n"
-      "  --stats           print cache hit/miss/race counters and pool\n"
-      "                    run/steal counts after the sweep\n"
+      "  --stats           print accuracy-table hit/miss/race counters,\n"
+      "                    and pool runs and steals (indices a helper\n"
+      "                    thread ran, not the caller) after the sweep\n"
       "  --stats-json PATH write the same counters as a JSON array of\n"
       "                    {stat, value} objects\n"
       "  --top N           front rows to print (default 20; 0 = all)\n"

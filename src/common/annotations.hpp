@@ -2,7 +2,7 @@
 // shared-mutable structure in the repo uses.
 //
 // The engine's concurrency story — the process-wide WorkStealingPool, the
-// Evaluator's memo caches, the EvalStore's snapshot map, the daemon's
+// Evaluator's accuracy memo, the EvalStore's snapshot map, the daemon's
 // in-flight key set — used to be checked only at runtime, by whatever races
 // the TSan job's inputs happened to exercise. These macros make the locking
 // discipline *statically* checkable: a field tagged APSQ_GUARDED_BY(mu)

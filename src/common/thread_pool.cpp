@@ -1,7 +1,7 @@
 #include "common/thread_pool.hpp"
 
+#include <algorithm>
 #include <cstdlib>
-#include <deque>
 #include <exception>
 #include <fstream>
 
@@ -9,64 +9,35 @@
 
 namespace apsq {
 
-namespace {
-// Which pool (if any) the current thread is a worker of, and its worker
-// index there. Lets a nested parallel_for on the same pool seed its child
-// scope into the worker's own deque (LIFO, so the worker drains its inner
-// work first) instead of degrading to an inline loop.
-thread_local const WorkStealingPool* tls_worker_of = nullptr;
-thread_local index_t tls_worker_index = -1;
-}  // namespace
-
-// One parallel_for invocation (a task scope). `remaining` counts seeded
-// indices not yet popped-and-accounted; the submitter helps drain and then
-// sleeps until it hits zero. Threads may only touch a Run while they hold
-// an unaccounted index, so the object can live on the submitter's stack.
+// One parallel_for call. Threads claim indices from `next`; `attached`
+// counts the helpers inside the run and moves only under the pool's mu_.
+// The caller unlists the run and waits for attached == 0 before
+// returning, after which no helper can reach the Run, so it lives on the
+// caller's stack.
 struct WorkStealingPool::Run {
   const std::function<void(index_t)>* fn = nullptr;
+  index_t n = 0;
   i64 id = 0;  ///< 1-based dispatch order; tags this run's trace events
-  std::atomic<index_t> remaining{0};
+  std::atomic<index_t> next{0};
   std::atomic<bool> stop{false};
+  std::atomic<int> attached{0};
   Mutex err_mu;
   std::exception_ptr first_error APSQ_GUARDED_BY(err_mu);
 
-  /// The error slot, read by the submitter once the run has quiesced
-  /// (remaining == 0 and help_until_done returned, so no task can still
-  /// be writing it).
-  std::exception_ptr take_error() APSQ_EXCLUDES(err_mu) {
-    MutexLock lock(err_mu);
-    return first_error;
+  /// Indices left to claim and no exception yet.
+  bool open() const {
+    return !stop.load(std::memory_order_relaxed) &&
+           next.load(std::memory_order_relaxed) < n;
   }
-};
-
-// A queued work item: which run it belongs to and which index to execute.
-// Tagging tasks with their Run is what lets multiple runs — including
-// nested child scopes — share one set of deques safely: a straggler
-// scanning empty deques holds no Task and therefore touches no Run.
-struct WorkStealingPool::Task {
-  Run* run = nullptr;
-  index_t idx = 0;
-};
-
-// A mutex-guarded deque is plenty here: pool tasks are microseconds to
-// milliseconds each, so lock traffic is noise next to the work. (A
-// lock-free Chase–Lev deque would buy nothing at this granularity.)
-struct WorkStealingPool::Queue {
-  Mutex mu;
-  std::deque<Task> items APSQ_GUARDED_BY(mu);
 };
 
 WorkStealingPool::WorkStealingPool(int num_threads)
     : num_threads_(num_threads) {
   APSQ_CHECK_MSG(num_threads >= 1, "pool needs at least one thread");
-  queues_.reserve(static_cast<size_t>(num_threads_));
-  for (int i = 0; i < num_threads_; ++i)
-    queues_.push_back(std::make_unique<Queue>());
-  worker_trace_.resize(static_cast<size_t>(num_threads_));
   if (num_threads_ > 1) {
-    workers_.reserve(static_cast<size_t>(num_threads_));
+    helpers_.reserve(static_cast<size_t>(num_threads_));
     for (index_t w = 0; w < num_threads_; ++w)
-      workers_.emplace_back([this, w] { worker_loop(w); });
+      helpers_.emplace_back([this, w] { helper_loop(w); });
   }
 }
 
@@ -75,9 +46,9 @@ WorkStealingPool::~WorkStealingPool() {
     MutexLock lock(mu_);
     shutdown_ = true;
   }
-  work_cv_.notify_all();
-  for (auto& t : workers_) t.join();
-  flush_trace();  // after the joins: every buffer is quiescent now
+  cv_.notify_all();
+  for (auto& t : helpers_) t.join();
+  flush_trace();
 }
 
 void WorkStealingPool::enable_tracing(const std::string& path) {
@@ -86,17 +57,6 @@ void WorkStealingPool::enable_tracing(const std::string& path) {
     trace_path_ = path;
   }
   tracing_.store(true, std::memory_order_relaxed);
-}
-
-void WorkStealingPool::record_trace(const TraceEvent& e) {
-  if (tls_worker_of == this) {
-    // Single-writer by construction: worker w is the only thread that
-    // ever appends to worker_trace_[w], and readers wait for the joins.
-    worker_trace_[static_cast<size_t>(tls_worker_index)].push_back(e);
-  } else {
-    MutexLock lock(trace_mu_);
-    external_trace_.push_back(e);
-  }
 }
 
 void WorkStealingPool::flush_trace() {
@@ -108,17 +68,13 @@ void WorkStealingPool::flush_trace() {
   std::ofstream out(trace_path_);
   if (!out) return;  // an unwritable path must not crash shutdown
   out << "{\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const TraceEvent& e) {
-    if (!first) out << ",";
-    first = false;
-    out << "\n{\"name\":\"task\",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.tid
+  for (size_t k = 0; k < trace_.size(); ++k) {
+    const TraceEvent& e = trace_[k];
+    out << (k == 0 ? "" : ",")
+        << "\n{\"name\":\"task\",\"ph\":\"X\",\"pid\":0,\"tid\":" << e.tid
         << ",\"ts\":" << e.ts_us << ",\"dur\":" << e.dur_us
         << ",\"args\":{\"run\":" << e.run << ",\"index\":" << e.idx << "}}";
-  };
-  for (const auto& buf : worker_trace_)
-    for (const TraceEvent& e : buf) emit(e);
-  for (const TraceEvent& e : external_trace_) emit(e);
+  }
   out << "\n]}\n";
 }
 
@@ -146,102 +102,60 @@ WorkStealingPool& WorkStealingPool::shared() {
   return pool;
 }
 
-bool WorkStealingPool::try_pop_own(index_t w, Task& t) {
-  Queue& q = *queues_[static_cast<size_t>(w)];
-  MutexLock lock(q.mu);
-  if (q.items.empty()) return false;
-  t = q.items.front();
-  q.items.pop_front();
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
+WorkStealingPool::Run* WorkStealingPool::newest_open_run() {
+  for (auto it = live_.rbegin(); it != live_.rend(); ++it)
+    if ((*it)->open()) return *it;
+  return nullptr;
 }
 
-bool WorkStealingPool::try_steal(index_t skip, Task& t) {
-  for (index_t k = 0; k < num_threads_; ++k) {
-    const index_t victim =
-        skip >= 0 ? (skip + 1 + k) % num_threads_ : k;
-    if (victim == skip) continue;
-    Queue& q = *queues_[static_cast<size_t>(victim)];
-    MutexLock lock(q.mu);
-    if (q.items.empty()) continue;
-    t = q.items.back();
-    q.items.pop_back();
-    pending_.fetch_sub(1, std::memory_order_relaxed);
-    steals_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
-}
-
-void WorkStealingPool::execute(const Task& t) {
-  Run& run = *t.run;
-  const bool tracing = tracing_.load(std::memory_order_relaxed);
-  std::chrono::steady_clock::time_point t0;
-  if (tracing) t0 = std::chrono::steady_clock::now();
-  if (!run.stop.load(std::memory_order_relaxed)) {
+index_t WorkStealingPool::drain(Run& run, i64 tid) {
+  index_t ran = 0;
+  while (!run.stop.load(std::memory_order_relaxed)) {
+    const index_t i = run.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= run.n) break;
+    const bool tracing = tracing_.load(std::memory_order_relaxed);
+    std::chrono::steady_clock::time_point t0;
+    if (tracing) t0 = std::chrono::steady_clock::now();
     try {
-      (*run.fn)(t.idx);
+      (*run.fn)(i);
     } catch (...) {
       run.stop.store(true, std::memory_order_relaxed);
       MutexLock lock(run.err_mu);
       if (!run.first_error) run.first_error = std::current_exception();
     }
+    ++ran;
+    if (tracing) {
+      const auto us = [](std::chrono::steady_clock::duration d) {
+        return std::chrono::duration_cast<std::chrono::microseconds>(d)
+            .count();
+      };
+      const auto t1 = std::chrono::steady_clock::now();
+      MutexLock lock(trace_mu_);
+      trace_.push_back({us(t0 - trace_epoch_), us(t1 - t0), tid, run.id, i});
+    }
   }
-  if (tracing) {
-    // Record before the final decrement below: the Run may be destroyed
-    // the moment remaining hits zero, and we read run.id here.
-    const auto t1 = std::chrono::steady_clock::now();
-    const auto us = [](std::chrono::steady_clock::duration d) {
-      return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
-    };
-    TraceEvent e;
-    e.ts_us = us(t0 - trace_epoch_);
-    e.dur_us = us(t1 - t0);
-    e.tid = tls_worker_of == this ? tls_worker_index : -1;
-    e.run = run.id;
-    e.idx = t.idx;
-    record_trace(e);
-  }
-  // Account last: once remaining hits 0 the submitter may wake and destroy
-  // the Run, so nothing may touch it after this thread's final decrement.
-  if (run.remaining.fetch_sub(1) == 1) {
-    MutexLock lock(mu_);
-    done_cv_.notify_all();
-  }
+  return ran;
 }
 
-void WorkStealingPool::worker_loop(index_t w) {
-  tls_worker_of = this;
-  tls_worker_index = w;
+void WorkStealingPool::helper_loop(index_t w) {
+  Run* run = nullptr;  // the run this helper last drained, still attached
+  index_t ran = 0;
   for (;;) {
     {
-      // Manual wait loop (not a predicate lambda) so the shutdown_ read
-      // happens where the analysis can see mu_ is held.
       MutexLock lock(mu_);
-      while (!shutdown_ && pending_.load(std::memory_order_relaxed) <= 0)
-        work_cv_.wait(mu_);
+      if (run != nullptr) {
+        steals_.fetch_add(ran, std::memory_order_relaxed);
+        // Last touch: the caller may free the run once it reads zero.
+        if (run->attached.fetch_sub(1, std::memory_order_relaxed) == 1)
+          cv_.notify_all();
+      }
+      // Manual wait loop (not a predicate lambda) so the guarded reads
+      // happen where the analysis can see mu_ is held.
+      while (!shutdown_ && (run = newest_open_run()) == nullptr) cv_.wait(mu_);
       if (shutdown_) return;
+      run->attached.fetch_add(1, std::memory_order_relaxed);
     }
-    Task t;
-    while (try_pop_own(w, t) || try_steal(w, t)) execute(t);
-  }
-}
-
-void WorkStealingPool::help_until_done(Run& run, index_t self) {
-  // Drain tasks — own deque first when we have one, then steals — until
-  // the run completes. Tasks seeded all at once and never re-enqueued, so
-  // a full scan that finds nothing means every task of this run is either
-  // done or in flight on another thread; then it is safe to sleep on the
-  // completion signal. Executing another run's task while waiting is fine:
-  // it cannot depend on this run, and it keeps the pool making progress.
-  Task t;
-  while (run.remaining.load() != 0) {
-    if ((self >= 0 && try_pop_own(self, t)) || try_steal(self, t)) {
-      execute(t);
-      continue;
-    }
-    MutexLock lock(mu_);
-    while (run.remaining.load() != 0) done_cv_.wait(mu_);
+    ran = drain(*run, w);
   }
 }
 
@@ -256,39 +170,22 @@ void WorkStealingPool::parallel_for(index_t n,
 
   Run run;
   run.fn = &fn;
+  run.n = n;
   run.id = runs_.fetch_add(1, std::memory_order_relaxed) + 1;
-  run.remaining.store(n);
-
-  const bool nested = tls_worker_of == this;
-  const index_t self = nested ? tls_worker_index : -1;
-  if (nested) {
-    // Child scope: push LIFO onto our own deque so this worker drains its
-    // inner work before anything else; idle threads steal from the back.
-    Queue& q = *queues_[static_cast<size_t>(self)];
-    MutexLock lock(q.mu);
-    for (index_t i = n; i-- > 0;) q.items.push_front(Task{&run, i});
-  } else {
-    // Top-level scope: seed each deque with a contiguous chunk (owner pops
-    // the front, thieves take the back, so steals grab the work the owner
-    // would reach last).
-    for (index_t w = 0; w < num_threads_; ++w) {
-      const index_t lo = w * n / num_threads_;
-      const index_t hi = (w + 1) * n / num_threads_;
-      Queue& q = *queues_[static_cast<size_t>(w)];
-      MutexLock lock(q.mu);
-      for (index_t i = lo; i < hi; ++i) q.items.push_back(Task{&run, i});
-    }
-  }
   {
-    // pending_ moves under mu_ so a worker cannot check the work_cv_
-    // predicate and fall asleep between our increment and notify.
     MutexLock lock(mu_);
-    pending_.fetch_add(n, std::memory_order_relaxed);
+    live_.push_back(&run);
   }
-  work_cv_.notify_all();
-
-  help_until_done(run, self);
-  if (std::exception_ptr err = run.take_error()) std::rethrow_exception(err);
+  cv_.notify_all();
+  drain(run, -1);
+  {
+    MutexLock lock(mu_);
+    live_.erase(std::find(live_.begin(), live_.end(), &run));
+    while (run.attached.load(std::memory_order_relaxed) != 0) cv_.wait(mu_);
+  }
+  // Every helper has detached, so no task can still be writing the slot.
+  MutexLock lock(run.err_mu);
+  if (run.first_error) std::rethrow_exception(run.first_error);
 }
 
 }  // namespace apsq

@@ -1,31 +1,24 @@
-// Work-stealing parallel-for pool shared by the DSE evaluator and the
-// simulator's workload runner.
+// Parallel-for pool shared by the DSE evaluator and the simulator's
+// workload runner.
 //
-// Worker threads are spawned once in the constructor and persist across
-// parallel_for calls. Each queued task is tagged with the run (the
-// parallel_for invocation) it belongs to, so any number of runs may be in
-// flight at once: a worker pops work from the front of its own deque and,
-// when empty, steals from the back of a victim's, executing whatever task
-// it finds regardless of which run seeded it. Stealing keeps the pool busy
-// when per-task cost is skewed (cache misses evaluate full workloads, hits
-// return instantly).
-//
-// Nested parallelism composes instead of degrading to inline: a task that
-// calls parallel_for on its own pool seeds a child scope and then *helps*
-// — it drains its own deque (where the child's tasks were pushed LIFO)
-// and steals until the child scope completes, so the DSE evaluator's
-// point-level loop and run_workload's layer-level loop share one set of
-// workers without oversubscription or deadlock. External callers help the
-// same way while their run is live, then sleep until stragglers finish.
+// `num_threads` helper threads are spawned once in the constructor and
+// park on one condition variable between runs. A run is one parallel_for
+// call: the caller lists it among the pool's live runs, wakes the helpers
+// and claims indices from the run's shared cursor alongside every helper
+// that attaches to it. An idle helper attaches to the newest run that
+// still has unclaimed indices, so a parallel_for called from inside a task
+// (nested parallelism) is just another run the idle helpers join, and any
+// number of runs — nested, or from distinct external threads — may be live
+// at once without oversubscription or deadlock. Once the cursor passes n
+// the caller unlists its run and waits for the helpers still inside it to
+// finish their last index, so the run can live on the caller's stack.
 //
 // Locking discipline (statically checked via common/annotations.hpp under
-// Clang -Wthread-safety): each Queue's deque is guarded by its own
-// Queue::mu; shutdown_ is guarded by mu_, which also serializes pending_
-// increments against the work_cv_ predicate; the trace path / external
-// trace buffer are guarded by trace_mu_. The per-worker trace buffers are
-// single-writer by construction (worker w appends from its own thread
-// only) and are read only after the joins — the one place the story leans
-// on APSQ_NO_THREAD_SAFETY_ANALYSIS instead of a capability.
+// Clang -Wthread-safety): the live-run list and shutdown_ are guarded by
+// mu_; a run's count of attached helpers is atomic but changes only under
+// mu_, the lock cv_'s waits test it under; a run's first exception sits
+// under its own err_mu; the trace path and buffer are guarded by
+// trace_mu_.
 //
 // Determinism comes from the caller: tasks write to disjoint,
 // index-addressed slots, so scheduling order never affects results.
@@ -34,7 +27,6 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,46 +39,45 @@ namespace apsq {
 class WorkStealingPool {
  public:
   /// `num_threads` >= 1; values above the task count are harmless.
-  /// num_threads > 1 spawns that many persistent workers immediately.
+  /// num_threads > 1 spawns that many persistent helpers immediately.
   explicit WorkStealingPool(int num_threads);
-  ~WorkStealingPool();  // signals shutdown and joins the workers
+  ~WorkStealingPool();  // signals shutdown and joins the helpers
 
   /// Run fn(i) at most once for every i in [0, n) — exactly once when no
   /// task throws — blocking until done. fn must be safe to call from
   /// multiple threads. Exceptions: the first captured exception of the run
-  /// is rethrown here and stops the run early; tasks not yet started when
-  /// it was captured are skipped (in-flight ones finish), mirroring the
-  /// abort-at-first-throw behaviour of the single-thread path. A nested
-  /// run's exception therefore propagates out of the enclosing task and is
-  /// captured by the enclosing run.
-  /// num_threads == 1 runs inline on the calling thread (no worker
-  /// threads at all). Calls from within one of this pool's own workers
-  /// (nested parallelism) submit a child scope into the shared deques and
-  /// help drain it. Concurrent calls from distinct external threads also
-  /// compose: each run completes independently.
+  /// is rethrown here and stops the run early; indices not yet claimed
+  /// when it was captured are skipped (in-flight ones finish), mirroring
+  /// the abort-at-first-throw behaviour of the single-thread path. A
+  /// nested run's exception therefore propagates out of the enclosing task
+  /// and is captured by the enclosing run.
+  /// num_threads == 1 runs inline on the calling thread (no helper
+  /// threads at all). Otherwise the calling thread works on its own run
+  /// alongside the helpers, whether it is an external thread or a task of
+  /// this pool (nested parallelism); each run completes independently.
   void parallel_for(index_t n, const std::function<void(index_t)>& fn);
 
   int num_threads() const { return num_threads_; }
 
-  /// Tasks executed by a thread other than the one whose deque initially
-  /// held them (diagnostic; cumulative across parallel_for calls).
+  /// Indices run by a helper thread rather than by the thread that called
+  /// parallel_for for them (diagnostic; cumulative across calls).
   i64 steal_count() const { return steals_.load(); }
 
-  /// parallel_for invocations dispatched to the shared deques, nested
-  /// scopes included (diagnostic; inline runs — n == 0 or a single-thread
-  /// pool — excluded).
+  /// parallel_for invocations dispatched to the helpers, nested runs
+  /// included (diagnostic; inline runs — n == 0 or a single-thread pool —
+  /// excluded).
   i64 run_count() const { return runs_.load(); }
 
-  /// Record every task executed through the pool's deques and, on
-  /// destruction, write them to `path` in the chrome://tracing JSON
-  /// format ({"traceEvents": [...]}): one complete ("ph": "X") event per
-  /// task, timestamped in µs since pool construction, with the executing
-  /// worker's index as the tid (-1 for an external helper thread) and the
-  /// run id + task index as args. Load the file in chrome://tracing or
+  /// Record every index run through the pool and, on destruction, write
+  /// them to `path` in the chrome://tracing JSON format
+  /// ({"traceEvents": [...]}): one complete ("ph": "X") event per index,
+  /// timestamped in µs since pool construction, with the executing
+  /// helper's index as the tid (-1 for the run's own caller) and the run
+  /// id + index as args. Load the file in chrome://tracing or
   /// https://ui.perfetto.dev to see where a sweep's wall-clock went.
   /// Covers pooled execution only: a single-thread pool (and n == 0)
-  /// runs inline and emits no events. Safe to call at any time; tasks
-  /// already executed before the call are not retroactively recorded.
+  /// runs inline and emits no events. Safe to call at any time; indices
+  /// already run before the call are not retroactively recorded.
   void enable_tracing(const std::string& path) APSQ_EXCLUDES(trace_mu_);
 
   /// Threads the hardware supports (>= 1 even when unknown).
@@ -103,48 +94,36 @@ class WorkStealingPool {
   static WorkStealingPool& shared();
 
  private:
-  struct Queue;
   struct Run;
-  struct Task;
-  /// One recorded task execution, ready to serialize as a trace event.
+  /// One recorded index, ready to serialize as a trace event.
   struct TraceEvent {
     i64 ts_us = 0;   ///< start, µs since pool construction (steady clock)
     i64 dur_us = 0;  ///< task body duration, µs
-    i64 tid = 0;     ///< worker index, or -1 for an external helper thread
-    i64 run = 0;     ///< parallel_for scope id (1-based, dispatch order)
-    i64 idx = 0;     ///< task index within the run
+    i64 tid = 0;     ///< helper index, or -1 for the run's caller
+    i64 run = 0;     ///< parallel_for run id (1-based, dispatch order)
+    i64 idx = 0;     ///< index within the run
   };
-  void worker_loop(index_t w);
-  void execute(const Task& t);
-  void help_until_done(Run& run, index_t self);
-  bool try_pop_own(index_t w, Task& t) APSQ_EXCLUDES(mu_);
-  bool try_steal(index_t skip, Task& t) APSQ_EXCLUDES(mu_);
-  void record_trace(const TraceEvent& e) APSQ_EXCLUDES(trace_mu_);
+  void helper_loop(index_t w);
+  Run* newest_open_run() APSQ_REQUIRES(mu_);
+  index_t drain(Run& run, i64 tid) APSQ_EXCLUDES(trace_mu_);
   void flush_trace() APSQ_EXCLUDES(trace_mu_);
 
   int num_threads_;
-  std::vector<std::unique_ptr<Queue>> queues_;
   std::atomic<i64> steals_{0};
   std::atomic<i64> runs_{0};
 
   std::atomic<bool> tracing_{false};
   const std::chrono::steady_clock::time_point trace_epoch_ =
       std::chrono::steady_clock::now();
-  /// Worker w appends to worker_trace_[w] from its own thread only, so
-  /// the per-worker buffers need no locks (and carry no capability — see
-  /// record_trace / flush_trace); external helper threads share
-  /// external_trace_ under trace_mu_, which also guards trace_path_.
-  std::vector<std::vector<TraceEvent>> worker_trace_;
-  std::vector<TraceEvent> external_trace_ APSQ_GUARDED_BY(trace_mu_);
+  std::vector<TraceEvent> trace_ APSQ_GUARDED_BY(trace_mu_);
   std::string trace_path_ APSQ_GUARDED_BY(trace_mu_);
   Mutex trace_mu_;
 
-  Mutex mu_;  ///< guards shutdown_ / pending_ increments for the CVs
-  CondVar work_cv_;  ///< wakes idle workers on new tasks
-  CondVar done_cv_;  ///< wakes waiters when a run finishes
-  std::atomic<i64> pending_{0};  ///< tasks seeded but not yet popped
+  Mutex mu_;
+  CondVar cv_;  ///< helpers wait here for a run, callers for their helpers
+  std::vector<Run*> live_ APSQ_GUARDED_BY(mu_);  ///< oldest first
   bool shutdown_ APSQ_GUARDED_BY(mu_) = false;
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> helpers_;
 };
 
 }  // namespace apsq

@@ -36,7 +36,8 @@
 // its randomness per work item via Rng::stream, and results land in
 // index-addressed slots, so a parallel sweep is byte-identical to a
 // serial one. Parallel evaluation runs on the process-wide
-// WorkStealingPool::shared().
+// WorkStealingPool::shared(): per batch, one run over the batch's proxy
+// units, then one over its points.
 #pragma once
 
 #include <atomic>

@@ -1,9 +1,9 @@
 #include "dse/search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <deque>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -79,19 +79,19 @@ SearchRows SearchDriver::run_rows() {
   const index_t n = space_.size();
   // Per-axis radices for neighbour moves: a candidate's mixed-radix
   // digits, each nudged ±1 within its axis.
-  std::vector<index_t> radix;
-  for (const AxisDesc& a : space_.axes()) radix.push_back(a.count);
+  const AxisList axes = space_.axes();
+  using Digits = std::array<index_t, kAxisCount>;
   const auto digits_of = [&](index_t i) {
-    std::vector<index_t> d(radix.size(), 0);
-    for (size_t a = radix.size(); a-- > 0;) {
-      d[a] = i % radix[a];
-      i /= radix[a];
+    Digits d{};
+    for (size_t a = axes.size(); a-- > 0;) {
+      d[a] = i % axes[a].count;
+      i /= axes[a].count;
     }
     return d;
   };
-  const auto index_of = [&](const std::vector<index_t>& d) {
+  const auto index_of = [&](const Digits& d) {
     index_t i = 0;
-    for (size_t a = 0; a < radix.size(); ++a) i = i * radix[a] + d[a];
+    for (size_t a = 0; a < axes.size(); ++a) i = i * axes[a].count + d[a];
     return i;
   };
 
@@ -178,22 +178,24 @@ SearchRows SearchDriver::run_rows() {
   }
 
   int stable = 0;
+  std::vector<index_t> candidates;
   for (u64 round = 1; remaining > 0; ++round) {
     const auto r0 = clock_t_::now();
     // Candidates: every ±1-per-axis neighbour of the current per-workload
-    // front, plus random injections to keep exploring. std::set gives a
-    // deduped, ascending — hence deterministic — candidate order.
-    std::set<index_t> candidates;
+    // front, plus random injections to keep exploring. Sorted and deduped,
+    // so the order is ascending — hence deterministic.
+    candidates.clear();
     for (const auto& [workload, front] : fronts) {
       for (const IncrementalFront::Member& m : front.members()) {
-        const std::vector<index_t> d = digits_of(m.tag);
-        for (size_t a = 0; a < radix.size(); ++a) {
+        Digits d = digits_of(m.tag);
+        for (size_t a = 0; a < axes.size(); ++a) {
+          const index_t own = d[a];
           for (index_t step : {index_t{-1}, index_t{1}}) {
-            if (d[a] + step < 0 || d[a] + step >= radix[a]) continue;
-            std::vector<index_t> nd = d;
-            nd[a] += step;
-            candidates.insert(index_of(nd));
+            if (own + step < 0 || own + step >= axes[a].count) continue;
+            d[a] = own + step;
+            candidates.push_back(index_of(d));
           }
+          d[a] = own;
         }
       }
     }
@@ -201,7 +203,10 @@ SearchRows SearchDriver::run_rows() {
     const index_t injections =
         std::max<index_t>(8, static_cast<index_t>(opt_.budget / 16));
     for (index_t j = 0; j < injections; ++j)
-      candidates.insert(rng.uniform_index(n));
+      candidates.push_back(rng.uniform_index(n));
+    std::sort(candidates.begin(), candidates.end());
+    candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                     candidates.end());
     const index_t considered = static_cast<index_t>(candidates.size());
 
     std::vector<index_t> batch;

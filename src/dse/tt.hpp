@@ -103,16 +103,6 @@ class TranspositionTable {
     return total;
   }
 
-  /// Distinct memoized keys across all shards.
-  i64 entries() const {
-    i64 n = 0;
-    for (const auto& s : shards_) {
-      MutexLock lock(s->mu);
-      n += static_cast<i64>(s->map.size());
-    }
-    return n;
-  }
-
  private:
   /// One shard: map and counters move together under one mutex, so a
   /// counter update outside the map's critical section is a compile error

@@ -57,6 +57,9 @@ struct QueryStats {
   index_t coalesced = 0;
   i64 eval_batches = 0;  ///< 1 when this request's run evaluated, else 0
   double wall_ms = 0.0;
+  /// The shared pool's counters when the reply was built (process-wide,
+  /// cumulative): helper count, parallel_for runs, and steals — indices
+  /// a helper thread ran rather than the run's caller.
   int pool_threads = 0;
   i64 pool_runs = 0;
   i64 pool_steals = 0;

@@ -12,7 +12,7 @@
 //
 // Layers run independently: operands and the calibration exponent are a
 // pure function of (scaled shape, seed), so layers can execute on the
-// work-stealing pool in any order — and identical shapes share one
+// shared pool in any order — and identical shapes share one
 // calibration — while totals stay byte-identical to a serial run.
 #pragma once
 
@@ -83,10 +83,10 @@ int calibrate_psum_exponent(const TensorI32& exact);
 
 /// Execute a whole workload through the accelerator simulator. With
 /// opt.threads > 1 layers run on `pool` (or the process-wide
-/// WorkStealingPool::shared() when null); calls from inside a pool task —
-/// e.g. a parallel DSE sweep's per-point evaluation — submit a nested
-/// scope into the same pool, so point- and layer-level parallelism
-/// compose. Results are byte-identical to a serial run either way.
+/// WorkStealingPool::shared() when null); a call from inside a task of
+/// that pool opens a nested run its idle helpers join, so an outer
+/// parallel loop and the layer loop compose. Results are byte-identical
+/// to a serial run either way.
 WorkloadRunResult run_workload(const Workload& w, const SimConfig& cfg,
                                const WorkloadRunOptions& opt = {},
                                WorkStealingPool* pool = nullptr);

@@ -51,13 +51,14 @@ TEST(WorkStealingPool, SingleThreadRunsInline) {
 }
 
 TEST(WorkStealingPool, SkewedTasksGetStolen) {
-  // Worker 0's chunk is made pathologically slow; with stealing the other
-  // workers take over the tail of its deque.
+  // The first quarter of the indices is made pathologically slow; the
+  // helpers claim indices alongside the caller, so some of the run is
+  // counted as stolen (run by a helper, not the caller).
   WorkStealingPool pool(4);
   constexpr index_t n = 64;
   std::atomic<int> done{0};
   pool.parallel_for(n, [&](index_t i) {
-    if (i < n / 4)  // worker 0's initial chunk
+    if (i < n / 4)
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     ++done;
   });
@@ -65,6 +66,23 @@ TEST(WorkStealingPool, SkewedTasksGetStolen) {
   if (std::thread::hardware_concurrency() > 1) {
     EXPECT_GT(pool.steal_count(), 0);
   }
+}
+
+TEST(WorkStealingPool, StealCountCountsOnlyHelperIndices) {
+  // steal_count() counts the indices a helper ran: the caller's own
+  // indices are not steals.
+  WorkStealingPool pool(2);
+  constexpr index_t n = 200;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_by(n);
+  const i64 before = pool.steal_count();
+  pool.parallel_for(n, [&](index_t i) {
+    ran_by[static_cast<size_t>(i)] = std::this_thread::get_id();
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  });
+  i64 off_caller = 0;
+  for (const std::thread::id id : ran_by) off_caller += id != caller;
+  EXPECT_EQ(pool.steal_count() - before, off_caller);
 }
 
 TEST(WorkStealingPool, FirstExceptionPropagates) {
@@ -78,7 +96,7 @@ TEST(WorkStealingPool, FirstExceptionPropagates) {
 }
 
 TEST(WorkStealingPool, UsableAgainAfterAnException) {
-  // The persistent workers must survive a throwing run.
+  // The persistent helpers must survive a throwing run.
   WorkStealingPool pool(3);
   EXPECT_THROW(
       pool.parallel_for(50, [&](index_t) { throw std::runtime_error("x"); }),
@@ -90,7 +108,7 @@ TEST(WorkStealingPool, UsableAgainAfterAnException) {
 
 TEST(WorkStealingPool, WorkersPersistAcrossParallelForCalls) {
   // The pool-reuse contract: repeated calls are served by the same
-  // long-lived workers (run_count ticks; every call completes fully).
+  // long-lived helpers (run_count ticks; every call completes fully).
   WorkStealingPool pool(4);
   constexpr int kCalls = 25;
   for (int c = 0; c < kCalls; ++c) {
@@ -102,21 +120,21 @@ TEST(WorkStealingPool, WorkersPersistAcrossParallelForCalls) {
 }
 
 TEST(WorkStealingPool, NestedParallelForComposesOnSharedWorkers) {
-  // A task that re-enters its own pool submits a child scope into the
-  // shared deques (it must not deadlock, and every nested index runs).
+  // A task that re-enters its own pool opens a nested run the idle
+  // helpers join (it must not deadlock, and every nested index runs).
   WorkStealingPool pool(3);
   std::atomic<index_t> total{0};
   pool.parallel_for(6, [&](index_t) {
     pool.parallel_for(5, [&](index_t j) { total += j; });
   });
   EXPECT_EQ(total.load(), 6 * 10);
-  // Outer run + one child scope per outer task all dispatched to the pool.
+  // Outer run + one nested run per outer task all dispatched to the pool.
   EXPECT_EQ(pool.run_count(), 1 + 6);
 }
 
 TEST(WorkStealingPool, NestedParallelForSpreadsAcrossWorkers) {
   // With one slow outer task fanning out many inner tasks, the other
-  // workers must be able to steal and execute the nested scope's work.
+  // helpers must be able to join the nested run and execute its indices.
   WorkStealingPool pool(4);
   std::set<std::thread::id> inner_threads;
   apsq::Mutex mu;
@@ -146,7 +164,7 @@ TEST(WorkStealingPool, DeeplyNestedScopesComplete) {
 }
 
 TEST(WorkStealingPool, NestedExceptionPropagatesThroughOuterRun) {
-  // An inner scope's exception rethrows out of the enclosing task and is
+  // An inner run's exception rethrows out of the enclosing task and is
   // captured by the enclosing run; the pool stays usable afterwards.
   WorkStealingPool pool(3);
   EXPECT_THROW(pool.parallel_for(4,
@@ -178,7 +196,7 @@ TEST(WorkStealingPool, SingleThreadPoolNestsInline) {
 
 TEST(WorkStealingPool, ConcurrentExternalCallersAllComplete) {
   // Distinct external threads may have runs in flight at once; each run's
-  // tasks execute exactly once and each call returns when its own scope
+  // tasks execute exactly once and each call returns when its own run
   // is done.
   WorkStealingPool pool(2);
   std::atomic<index_t> total{0};
@@ -221,7 +239,7 @@ TEST(WorkStealingPool, TracingWritesChromeTraceJson) {
     pool.enable_tracing(path);
     pool.parallel_for(8, [&](index_t) { ++count; });
     pool.parallel_for(4, [&](index_t) { ++count; });
-  }  // destructor joins the workers, then flushes the trace
+  }  // destructor joins the helpers, then flushes the trace
   EXPECT_EQ(count.load(), 12);
 
   std::ifstream in(path);
