@@ -59,7 +59,11 @@ bool is_dominated(const EvalResult& candidate,
 /// objectives, as pure scoring guarantees. Members carry a caller-chosen
 /// tag (SearchDriver: the index that first scored the point). Membership is by point identity:
 /// a candidate whose PointKey equals a member's, or an earlier
-/// candidate's, is dropped, so the first one seen keeps its tag.
+/// candidate's, is dropped, so the first one seen keeps its tag. Since
+/// an equal PointKey means an identical row, pareto_front over the
+/// members equals pareto_front over every merged candidate, byte for
+/// byte, in the front's objectives: SearchDriver hands its final members
+/// to SweepSession as the basis of an unfiltered search's front.
 class IncrementalFront {
  public:
   struct Member {

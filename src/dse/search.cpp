@@ -109,16 +109,23 @@ SearchRows SearchDriver::run_rows() {
   std::deque<EvalResult> scored;
   std::vector<Slot> archived;
   archived.reserve(static_cast<size_t>(std::min<i64>(opt_.budget, n)));
-  const auto is_archived = [&](index_t i) {
-    const auto it = std::lower_bound(
-        archived.begin(), archived.end(), i,
-        [](const Slot& s, index_t v) { return s.index < v; });
-    return it != archived.end() && it->index == i;
-  };
-  // The live per-workload front of everything archived so far, keyed by
-  // workload name. Each member's tag is the index that first scored its
-  // point: the index its neighbours are generated from.
-  std::map<std::string, IncrementalFront> fronts;
+  // The live per-workload front of everything archived so far: one
+  // IncrementalFront per distinct workload name, and front_of[w] the one
+  // that holds the points at workload position w. The workload is the
+  // slowest axis, so a point's position is its index over per_workload.
+  // Each member's tag is the index that first scored its point: the index
+  // its neighbours are generated from.
+  APSQ_CHECK(axes[0].axis == Axis::kWorkload);
+  const index_t per_workload = n / axes[0].count;
+  std::vector<size_t> front_of(space_.workloads.size());
+  for (size_t w = 0; w < front_of.size(); ++w)
+    front_of[w] = static_cast<size_t>(
+        std::find(space_.workloads.begin(), space_.workloads.end(),
+                  space_.workloads[w]) -
+        space_.workloads.begin());
+  std::vector<IncrementalFront> fronts(front_of.size(),
+                                       IncrementalFront(opt_.objectives));
+  std::vector<std::vector<IncrementalFront::Candidate>> grouped(fronts.size());
   i64 remaining = opt_.budget;
   // Score a batch (ascending, none archived yet), archive it and merge it
   // into the live front. Returns true iff the front's membership changed.
@@ -141,20 +148,20 @@ SearchRows SearchDriver::run_rows() {
         archived[k - 1] = {batch[b], &row(b)};
       }
     }
-    std::map<std::string, std::vector<IncrementalFront::Candidate>> grouped;
+    for (auto& cands : grouped) cands.clear();
     for (size_t j = 0; j < batch.size(); ++j)
-      grouped[row(j).point.workload].push_back({batch[j], &row(j)});
+      grouped[front_of[static_cast<size_t>(batch[j] / per_workload)]]
+          .push_back({batch[j], &row(j)});
     remaining -= static_cast<i64>(batch.size());
     stats_.evaluated += static_cast<index_t>(batch.size());
     bool changed = false;
-    for (const auto& [workload, cands] : grouped)
-      changed |= fronts.try_emplace(workload, opt_.objectives)
-                     .first->second.merge(cands);
+    for (size_t f = 0; f < fronts.size(); ++f)
+      if (!grouped[f].empty()) changed |= fronts[f].merge(grouped[f]);
     return changed;
   };
   const auto front_size = [&] {
     index_t size = 0;
-    for (const auto& [workload, front] : fronts)
+    for (const IncrementalFront& front : fronts)
       size += static_cast<index_t>(front.size());
     return size;
   };
@@ -179,13 +186,14 @@ SearchRows SearchDriver::run_rows() {
 
   int stable = 0;
   std::vector<index_t> candidates;
+  std::vector<index_t> batch;
   for (u64 round = 1; remaining > 0; ++round) {
     const auto r0 = clock_t_::now();
     // Candidates: every ±1-per-axis neighbour of the current per-workload
     // front, plus random injections to keep exploring. Sorted and deduped,
     // so the order is ascending — hence deterministic.
     candidates.clear();
-    for (const auto& [workload, front] : fronts) {
+    for (const IncrementalFront& front : fronts) {
       for (const IncrementalFront::Member& m : front.members()) {
         Digits d = digits_of(m.tag);
         for (size_t a = 0; a < axes.size(); ++a) {
@@ -209,9 +217,14 @@ SearchRows SearchDriver::run_rows() {
                      candidates.end());
     const index_t considered = static_cast<index_t>(candidates.size());
 
-    std::vector<index_t> batch;
-    for (index_t c : candidates) {
-      if (is_archived(c)) continue;
+    // The unseen candidates, in order, up to the budget: the candidates
+    // and the archive slots are both ascending, so one walk over the two
+    // finds every archived candidate.
+    batch.clear();
+    size_t slot = 0;
+    for (const index_t c : candidates) {
+      while (slot < archived.size() && archived[slot].index < c) ++slot;
+      if (slot < archived.size() && archived[slot].index == c) continue;
       if (static_cast<i64>(batch.size()) >= remaining) break;
       batch.push_back(c);
     }
@@ -236,6 +249,10 @@ SearchRows SearchDriver::run_rows() {
     out.indices.push_back(slot.index);
     out.results.push_back(std::move(*slot.row));
   }
+  out.front.reserve(static_cast<size_t>(front_size()));
+  for (const IncrementalFront& front : fronts)
+    for (const IncrementalFront::Member& m : front.members())
+      out.front.push_back(m.result);
   return out;
 }
 

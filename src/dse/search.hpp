@@ -9,7 +9,9 @@
 // batch-scored until the budget is spent, the front is stable, or no
 // unseen candidate remains. The front is kept live: each scored batch is
 // merged into one IncrementalFront per workload (pareto.hpp), so a round
-// costs the front plus the batch, not the whole archive.
+// costs the front plus the batch, not the whole archive. The search hands
+// those live fronts back with its rows (SearchRows::front), so a session
+// extracts its reported front from them instead of from every row.
 //
 // The search is deterministic given (seed, budget): candidate selection
 // is single-threaded and pure, randomness comes from
@@ -70,10 +72,16 @@ struct SearchStats {
 };
 
 /// The scored rows of a search, ascending by point index: results[k]
-/// scores the point at indices[k].
+/// scores the point at indices[k]; and the search's final live front.
 struct SearchRows {
   std::vector<index_t> indices;
   std::vector<EvalResult> results;
+  /// The members of the final per-workload live fronts, one workload
+  /// after another, each in merge order: exactly the per-workload front
+  /// of `results` under SearchOptions::objectives, one row per distinct
+  /// point. Not in canonical-key order; extract_front over these rows
+  /// gives the same front, byte for byte, as over `results`.
+  std::vector<EvalResult> front;
 };
 
 class SearchDriver {
@@ -85,8 +93,8 @@ class SearchDriver {
   /// sparse (nowhere near size() on a large space), byte-identical for a
   /// fixed (seed, budget) at any thread count.
   std::map<index_t, EvalResult> run();
-  /// run(), as two index-aligned vectors: what a session keeps, without
-  /// a node per row.
+  /// run(), as two index-aligned vectors (what a session keeps, without
+  /// a node per row), plus the live front the search ended with.
   SearchRows run_rows();
 
   const SearchStats& stats() const { return stats_; }

@@ -265,6 +265,13 @@ SweepOutcome SweepSession::run() {
     return r;
   };
 
+  // A fresh search already holds its front: the members of its live
+  // per-workload fronts are exactly the front of every row it scored, so
+  // an unfiltered extraction starts from them. A filter can drop the
+  // member that dominates a row it keeps, and a replay has no live fronts,
+  // so those extract from the rows.
+  std::vector<EvalResult> live_front;
+  bool from_live_front = false;
   if (cfg_.search()) {
     if (entry != nullptr) {
       // The scoring key pins (strategy, budget, search seed), and the
@@ -283,6 +290,8 @@ SweepOutcome SweepSession::run() {
         st->merge_rows(hash, scoring, cfg_.scored_by_label(), space_.size(),
                        rows.indices, rows.results);
       out.results = std::move(rows.results);
+      live_front = std::move(rows.front);
+      from_live_front = constraints_.empty();
     }
   } else {
     if (entry != nullptr) {
@@ -316,7 +325,8 @@ SweepOutcome SweepSession::run() {
       st->put(hash, scoring, cfg_.scored_by_label(), space_.size(),
               out.results);
   }
-  out.front = extract_front(cfg_, constraints_, out.results,
+  out.front = extract_front(cfg_, constraints_,
+                            from_live_front ? live_front : out.results,
                             &out.global_front_size);
   out.secs = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                            t0)

@@ -141,7 +141,9 @@ std::vector<EvalResult> filter_results(const std::vector<EvalResult>& results,
 /// by `constraints`;
 /// `global_front_size`, when non-null, receives the size of the
 /// cross-workload front over the same basis. SweepSession::run extracts
-/// through here.
+/// through here: over a fresh unfiltered search's live front
+/// (SearchRows::front), which gives the same front as its rows, and over
+/// the rows otherwise.
 std::vector<EvalResult> extract_front(const SweepConfig& cfg,
                                       const std::vector<Constraint>& constraints,
                                       const std::vector<EvalResult>& results,
@@ -158,7 +160,10 @@ struct SweepOutcome {
   std::vector<EvalResult> front;
   /// Size of the cross-workload (global) front over the same basis.
   size_t global_front_size = 0;
-  double secs = 0.0;  ///< wall time of the evaluate/lookup phase
+  /// Wall time of run() from the store lookup through front extraction:
+  /// the evaluation or store replay, the store update and the fronts, but
+  /// not loading or saving a snapshot file.
+  double secs = 0.0;
   /// Points actually scored by this run. A fully warm store re-slice
   /// reports 0 here — the acceptance signal that no evaluation was paid.
   index_t fresh_evaluations = 0;

@@ -330,5 +330,118 @@ TEST(Search, FineFrontCsvRowsHaveDistinctIdentities) {
   EXPECT_GT(rows, 100u);
 }
 
+SweepConfig fine_search(i64 budget, u64 seed, int threads) {
+  SweepConfig cfg;
+  cfg.space = "fine";
+  cfg.mode = RunMode::kSearch;
+  cfg.budget = budget;
+  cfg.budget_set = true;
+  cfg.search_seed = seed;
+  cfg.search_seed_set = true;
+  cfg.threads = threads;
+  return cfg;
+}
+
+/// The objective planes a fresh search's front is checked in: the core
+/// quartet, a pair, and all seven.
+const char* const kPlanes[] = {
+    "energy,area,error,latency", "energy,latency",
+    "energy,area,error,latency,pe_utilization,dram_bw_headroom,"
+    "throughput_per_area"};
+
+TEST(SweepSession, FreshSearchFrontIsTheFrontOfItsRows) {
+  // A fresh unfiltered search reports the front of its live fronts. That
+  // must be, byte for byte, the front of every row it scored, and what a
+  // warm store replay (which extracts from the rows) reports.
+  for (const char* name : kPlanes) {
+    for (const u64 seed : {1, 9}) {
+      for (const int threads : {1, 4}) {
+        SweepConfig cfg = fine_search(4096, seed, threads);
+        cfg.objectives = ObjectiveSet::parse(name);
+        EvalStore store;
+        SweepSession session(cfg, &store);
+        const SweepOutcome out = session.run();
+        ASSERT_GT(out.fresh_evaluations, 0);
+        size_t global = 0;
+        const std::string expect =
+            results_csv(extract_front(cfg, {}, out.results, &global),
+                        cfg.scored_by_label())
+                .to_string();
+        const std::string got =
+            results_csv(out.front, cfg.scored_by_label()).to_string();
+        EXPECT_EQ(got, expect) << name << " seed " << seed << " threads "
+                               << threads;
+        EXPECT_EQ(out.global_front_size, global) << name << " seed " << seed;
+        if (threads != 1) continue;
+        SweepSession warm(cfg, &store);
+        const SweepOutcome replay = warm.run();
+        EXPECT_EQ(replay.fresh_evaluations, 0);
+        EXPECT_EQ(results_csv(replay.front, cfg.scored_by_label()).to_string(),
+                  got)
+            << name << " seed " << seed;
+        EXPECT_EQ(replay.global_front_size, out.global_front_size);
+      }
+    }
+  }
+  // The same over the space of Search.DuplicateDecodingTrajectoryIsPinned,
+  // where two indices decode to one point: the live fronts keep one
+  // member per point, and the front of the rows collapses the repeat to
+  // the same row.
+  ConfigSpace space;
+  space.workloads = {"bert", "segformer"};
+  space.dataflows = {Dataflow::kIS, Dataflow::kWS, Dataflow::kOS};
+  space.psum_configs = ConfigSpace::default_psum_axis();
+  space.geometries = {PeGeometry{16, 8, 8}, PeGeometry{1, 32, 32},
+                      PeGeometry{4, 16, 16}};
+  space.buffers = {BufferSizing{256 * 1024, 256 * 1024, 128 * 1024},
+                   BufferSizing{128 * 1024, 256 * 1024, 128 * 1024}};
+  space.ifmap_bytes_axis = {64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024};
+  for (const char* name : kPlanes) {
+    SweepConfig cfg;
+    cfg.objectives = ObjectiveSet::parse(name);
+    Evaluator eval;
+    SearchOptions opt;
+    opt.budget = 1024;
+    opt.objectives = cfg.objectives;
+    SearchDriver driver(space, eval, opt);
+    const SearchRows rows = driver.run_rows();
+    size_t from_rows = 0, from_front = 0;
+    EXPECT_EQ(results_csv(extract_front(cfg, {}, rows.front, &from_front))
+                  .to_string(),
+              results_csv(extract_front(cfg, {}, rows.results, &from_rows))
+                  .to_string())
+        << name;
+    EXPECT_EQ(from_front, from_rows) << name;
+    EXPECT_EQ(rows.front.size(),
+              static_cast<size_t>(driver.stats().rounds.back().front_size));
+  }
+}
+
+TEST(SweepSession, FilteredSearchFrontIsTheFrontOfItsFilteredRows) {
+  // A filter can drop every live-front member that dominates a row it
+  // keeps, so a filtered search extracts from its rows, not from its live
+  // fronts. An upper bound on an objective of the plane drops no such
+  // dominator; a bound on an objective outside it, or a lower bound, can.
+  for (const auto& [name, where] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"energy,area,error,latency", "area<=2.5e6"},
+           {"energy,latency", "area<=2.5e6"},
+           {"energy,area,error,latency", "area>=2.5e6"}}) {
+    SweepConfig cfg = fine_search(4096, 9, 1);
+    cfg.objectives = ObjectiveSet::parse(name);
+    cfg.where = where;
+    SweepSession session(cfg);
+    const SweepOutcome out = session.run();
+    size_t global = 0;
+    const std::vector<EvalResult> expect =
+        extract_front(cfg, parse_constraints(where), out.results, &global);
+    EXPECT_EQ(results_csv(out.front, cfg.scored_by_label()).to_string(),
+              results_csv(expect, cfg.scored_by_label()).to_string())
+        << name << " where " << where;
+    EXPECT_EQ(out.global_front_size, global) << name << " where " << where;
+    EXPECT_GT(out.front.size(), 0u) << name << " where " << where;
+  }
+}
+
 }  // namespace
 }  // namespace apsq::dse
